@@ -48,13 +48,13 @@ enum MsgTag : std::uint64_t {
   kGrant = 2,          // CC->exec: all stages granted, execute
   kStageDone = 3,      // CC->exec (non-forwarding mode): one stage granted
   kAck = 4,            // CC->exec: release processed
-  kGrantCombined = 5,  // CC->exec: packed slot-id grants (combined_grants)
+  kGrantCombined = 5,  // CC->exec: packed slot-id grants (vectorized_cc)
   kTagMask = 7,
 };
 
 // kGrantCombined word layout: bits [0,3) tag, bits [3,7) slot count
 // (1..kMaxCombinedGrants), byte i+1 the i-th slot id. Slot ids are
-// in-flight-window indexes, so combined grants require max_inflight <= 256.
+// in-flight-window indexes, so vectorized_cc requires max_inflight <= 256.
 constexpr int kMaxCombinedGrants = 7;
 
 // TCB alignment: 3 tag bits + 6 stage-index bits (kMaxStages <= 64).
@@ -480,25 +480,11 @@ struct Shared {
   int n_cc = 0;
   int n_exec = 0;
   bool forwarding = true;
-  bool combined_grants = false;
-  bool adaptive_flush = false;
   bool elastic = false;
-  // Messages popped per PopBatch on the receive side; 1 is the unbatched
-  // ablation baseline.
-  std::size_t drain_batch = Mesh::kDefaultBatch;
-  // Messages staged per (sender, receiver) pair before a send buffer
-  // flushes; 1 is the per-message-publication ablation baseline
-  // (coalesced_send off).
-  std::size_t send_stage = SendBuf::kDefaultStage;
-  // Sender visit order when draining (adaptive_drain ablation flag).
-  mp::DrainOrder drain_order = mp::DrainOrder::kRoundRobin;
-  // Receive-side mirror of adaptive_flush: each thread sizes its Drain
-  // max_batch from its measured per-quantum burst depth.
-  bool adaptive_drain_batch = false;
   hal::Cycles cc_op_cycles = 20;
   // Vectorized CC stage (see OrthrusOptions::vectorized_cc): flat-batch
   // drain, prefetch sweep, same-key run combining, once-per-batch grant
-  // flush through the combined-grants staging path.
+  // flush as packed slot-id grant words.
   bool vectorized_cc = false;
   std::size_t cc_batch = 256;
   bool cc_prefetch = true;
@@ -571,19 +557,14 @@ class CcThread {
         // elastic_cc: lock tables live in the SpaceMap's shards; the
         // thread-local table stays unused (minimal footprint).
         locks_(shared->elastic_cc ? 2 : lock_slots),
-        out_cc_(&shared->cc_to_cc, cc_id, shared->send_stage,
-                shared->adaptive_flush),
-        out_exec_(&shared->cc_to_exec, cc_id, shared->send_stage,
-                  shared->adaptive_flush),
+        out_cc_(&shared->cc_to_cc, cc_id),
+        out_exec_(&shared->cc_to_exec, cc_id),
         controller_(controller),
         controller2d_(controller2d),
         epoch_cycles_(epoch_cycles) {
-    // vectorized_cc stages its grants through the same per-exec stash the
-    // combined_grants path flushes, so either knob sizes it.
-    if (shared->combined_grants || shared->vectorized_cc) {
-      grant_stash_.resize(static_cast<std::size_t>(shared->n_exec));
-    }
     if (shared->vectorized_cc) {
+      // vectorized_cc stages its grants per exec thread as slot ids.
+      grant_stash_.resize(static_cast<std::size_t>(shared->n_exec));
       // Setup-time sizing: the flat drain buffer never grows on the hot
       // path (DrainInto stops at its capacity; the remainder stays queued).
       batch_buf_.resize(shared->cc_batch);
@@ -631,7 +612,7 @@ class CcThread {
         ORTHRUS_CHECK_MSG(out_cc_.Pending() == 0 && out_exec_.Pending() == 0,
                           "CC exiting with staged messages");
         ORTHRUS_CHECK_MSG(StashedGrants() == 0,
-                          "CC exiting with stashed combined grants");
+                          "CC exiting with stashed grants");
         break;
       }
       if (may_park) {
@@ -654,35 +635,19 @@ class CcThread {
 
   bool DrainOnce() {
     const auto handle = [this](std::uint64_t w) { Handle(w); };
-    const std::size_t batch = DrainBatch();
     // Elastic mode: exec senders live on the dynamic MPSC mesh (fan-in is
     // a set of shared shard queues per CC thread, drained in fixed shard
-    // order — drain_order does not apply there: messages inside a shard
-    // already arrive in global order, so there is no per-sender depth to
-    // rank); static mode keeps the per-pair SPSC matrix, where
-    // drain_order picks the sender visit order.
-    std::size_t n =
-        shared_->elastic
-            ? shared_->exec_to_cc_multi.Drain(cc_id_, handle, batch)
-            : shared_->exec_to_cc.Drain(cc_id_, handle, batch,
-                                        shared_->drain_order);
+    // order); static mode keeps the per-pair SPSC matrix.
+    std::size_t n = shared_->elastic
+                        ? shared_->exec_to_cc_multi.Drain(cc_id_, handle)
+                        : shared_->exec_to_cc.Drain(cc_id_, handle);
     // The CC->CC mesh carries forwarding chains — and, under elastic_cc,
     // misrouted messages chasing a shard's current owner, which exist
     // whether or not forwarding is on.
     if (shared_->forwarding || shared_->elastic_cc) {
-      n += shared_->cc_to_cc.Drain(cc_id_, handle, batch,
-                                   shared_->drain_order);
+      n += shared_->cc_to_cc.Drain(cc_id_, handle);
     }
-    drain_est_.Observe(shared_->adaptive_drain_batch, n);
     return n != 0;
-  }
-
-  // Drain granularity for this quantum: the configured batch, or the
-  // burst-depth estimate when adaptive_drain_batch is on (the receive-side
-  // mirror of SendBuffer's adaptive_flush).
-  std::size_t DrainBatch() const {
-    return drain_est_.Batch(shared_->adaptive_drain_batch,
-                            shared_->drain_batch);
   }
 
   // --- vectorized CC stage (vectorized_cc) -----------------------------
@@ -692,19 +657,14 @@ class CcThread {
   // scalar drain; anything past the cap stays queued for the next quantum)
   // and processes the span as a unit.
   bool DrainVectorized() {
-    const std::size_t batch = DrainBatch();
     std::uint64_t* buf = batch_buf_.data();
     const std::size_t cap = batch_buf_.size();
-    std::size_t n =
-        shared_->elastic
-            ? shared_->exec_to_cc_multi.DrainInto(cc_id_, buf, cap, batch)
-            : shared_->exec_to_cc.DrainInto(cc_id_, buf, cap, batch,
-                                            shared_->drain_order);
+    std::size_t n = shared_->elastic
+                        ? shared_->exec_to_cc_multi.DrainInto(cc_id_, buf, cap)
+                        : shared_->exec_to_cc.DrainInto(cc_id_, buf, cap);
     if (shared_->forwarding || shared_->elastic_cc) {
-      n += shared_->cc_to_cc.DrainInto(cc_id_, buf + n, cap - n, batch,
-                                       shared_->drain_order);
+      n += shared_->cc_to_cc.DrainInto(cc_id_, buf + n, cap - n);
     }
-    drain_est_.Observe(shared_->adaptive_drain_batch, n);
     if (n != 0) ProcessBatch(n);
     return n != 0;
   }
@@ -1000,7 +960,7 @@ class CcThread {
     }
   }
 
-  // --- combined grants -------------------------------------------------
+  // --- combined grant words (vectorized_cc) -----------------------------
 
   std::size_t StashedGrants() const {
     std::size_t n = 0;
@@ -1011,7 +971,7 @@ class CcThread {
   // Packs each exec thread's stashed grant slots into words of up to
   // kMaxCombinedGrants and stages them for the quantum flush.
   void FlushCombinedGrants() {
-    if (!shared_->combined_grants && !shared_->vectorized_cc) return;
+    if (!shared_->vectorized_cc) return;
     for (int e = 0; e < shared_->n_exec; ++e) {
       std::vector<std::uint8_t>& stash =
           grant_stash_[static_cast<std::size_t>(e)];
@@ -1301,7 +1261,7 @@ class CcThread {
   }
 
   void SendGrant(Tcb* tcb) {
-    if (shared_->combined_grants || shared_->vectorized_cc) {
+    if (shared_->vectorized_cc) {
       // Stash the grant as a slot id; FlushCombinedGrants packs this exec
       // thread's quantum of grants into words at quantum end. This is the
       // vectorized stage's single-pass grant flush: grants produced while
@@ -1365,13 +1325,11 @@ class CcThread {
   hal::Cycles epoch_cycles_;
   // elastic_cc: this thread's cached lock-space view (null otherwise).
   std::unique_ptr<Router> router_;
-  // adaptive_drain_batch: per-quantum burst depths on the receive side.
-  mp::detail::DrainBatchPolicy drain_est_;
   hal::Cycles next_epoch_ = 0;
   hal::Cycles last_epoch_now_ = 0;
   std::uint64_t last_epoch_committed_ = 0;
-  // Per-exec-thread grant stash (combined_grants and vectorized_cc modes),
-  // cleared every quantum by FlushCombinedGrants.
+  // Per-exec-thread grant stash (vectorized_cc only), cleared every
+  // quantum by FlushCombinedGrants.
   std::vector<std::vector<std::uint8_t>> grant_stash_;
   std::uint64_t held_ = 0;
   std::vector<Tcb*> runnable_;  // scratch for shared-mode release grants
@@ -1427,13 +1385,10 @@ class ExecThread {
       // Shard hint = exec id: stable for the thread's lifetime, spreads
       // senders evenly across the mesh's shards.
       out_cc_multi_ = std::make_unique<MultiSendBuf>(  // lint:allow-alloc setup
-          &shared->exec_to_cc_multi, exec_id, shared->send_stage,
-          shared->adaptive_flush);
+          &shared->exec_to_cc_multi, exec_id);
     } else {
       out_cc_ = std::make_unique<SendBuf>(  // lint:allow-alloc setup
-          &shared->exec_to_cc, exec_id,
-                                          shared->send_stage,
-                                          shared->adaptive_flush);
+          &shared->exec_to_cc, exec_id);
     }
     if (shared_->elastic_cc) {
       // Router slots are worker ids: CC threads first, then exec threads.
@@ -1673,11 +1628,7 @@ class ExecThread {
             default:
               ORTHRUS_CHECK_MSG(false, "unexpected message at exec thread");
           }
-        },
-        drain_est_.Batch(shared_->adaptive_drain_batch,
-                         shared_->drain_batch),
-        shared_->drain_order);
-    drain_est_.Observe(shared_->adaptive_drain_batch, n);
+        });
     return n != 0;
   }
 
@@ -1966,8 +1917,6 @@ class ExecThread {
   std::vector<std::uint8_t> snap_scratch_;
   std::uint32_t snap_stride_ = 0;
   storage::EpochClock::PublishCache epoch_cache_;
-  // adaptive_drain_batch: per-quantum burst depths on the receive side.
-  mp::detail::DrainBatchPolicy drain_est_;
 };
 
 }  // namespace
@@ -1977,11 +1926,6 @@ OrthrusEngine::OrthrusEngine(EngineOptions options, OrthrusOptions orthrus)
   ORTHRUS_CHECK(orthrus_.num_cc >= 1);
   ORTHRUS_CHECK(options_.num_cores > orthrus_.num_cc);
   ORTHRUS_CHECK(orthrus_.max_inflight >= 1);
-  if (orthrus_.combined_grants) {
-    // Combined grants address in-flight window slots with one byte each.
-    ORTHRUS_CHECK_MSG(orthrus_.max_inflight <= 256,
-                      "combined_grants needs max_inflight <= 256");
-  }
   if (orthrus_.elastic) {
     ORTHRUS_CHECK(orthrus_.elastic_min_exec >= 1);
     ORTHRUS_CHECK(orthrus_.elastic_min_exec <=
@@ -2003,12 +1947,6 @@ OrthrusEngine::OrthrusEngine(EngineOptions options, OrthrusOptions orthrus)
     ORTHRUS_CHECK(orthrus_.cc_partitions == 0 ||
                   orthrus_.cc_partitions >= orthrus_.num_cc);
   }
-  if (orthrus_.line_aligned_mesh) {
-    // Whole-line reservations only exist on the dynamic MPSC mesh; the
-    // static per-pair SPSC queues have one producer and no interleaving.
-    ORTHRUS_CHECK_MSG(orthrus_.elastic,
-                      "line_aligned_mesh shapes the elastic exec->CC mesh");
-  }
   ORTHRUS_CHECK(orthrus_.mesh_capacity_factor > 0.0 &&
                 orthrus_.mesh_capacity_factor <= 1.0);
   if (orthrus_.mesh_capacity_factor < 1.0) {
@@ -2021,8 +1959,8 @@ OrthrusEngine::OrthrusEngine(EngineOptions options, OrthrusOptions orthrus)
     ORTHRUS_CHECK(orthrus_.backpressure_epoch_seconds > 0);
   }
   if (orthrus_.vectorized_cc) {
-    // Grant staging packs in-flight window slots one byte each (the same
-    // encoding combined_grants uses).
+    // Grant staging packs in-flight window slots one byte each (the
+    // kGrantCombined word encoding).
     ORTHRUS_CHECK_MSG(orthrus_.max_inflight <= 256,
                       "vectorized_cc needs max_inflight <= 256");
     ORTHRUS_CHECK_MSG(!orthrus_.shared_cc_table,
@@ -2035,16 +1973,9 @@ OrthrusEngine::OrthrusEngine(EngineOptions options, OrthrusOptions orthrus)
 std::string OrthrusEngine::name() const {
   std::string n = orthrus_.split_index ? "split-orthrus" : "orthrus";
   if (!orthrus_.forwarding) n += "-nofwd";
-  if (!orthrus_.batched_mp) n += "-nobatch";
-  if (!orthrus_.coalesced_send) n += "-nocoalesce";
-  if (orthrus_.adaptive_drain) n += "-adaptive";
-  if (orthrus_.adaptive_flush) n += "-aflush";
-  if (orthrus_.combined_grants) n += "-cgrant";
   if (orthrus_.shared_cc_table) n += "-sharedcc";
   if (orthrus_.elastic) n += "-elastic";
   if (orthrus_.elastic_cc) n += "cc";
-  if (orthrus_.adaptive_drain_batch) n += "-adbatch";
-  if (orthrus_.line_aligned_mesh) n += "-linemesh";
   if (orthrus_.backpressure_admission) n += "-bp";
   if (orthrus_.vectorized_cc) n += "-veccc";
   if (orthrus_.snapshot_reads) n += "-snap";
@@ -2123,12 +2054,9 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   shared.n_exec = n_exec;
   shared.wal = options_.wal;
   shared.forwarding = orthrus_.forwarding;
-  shared.combined_grants = orthrus_.combined_grants;
-  shared.adaptive_flush = orthrus_.adaptive_flush;
   shared.elastic = orthrus_.elastic;
   shared.elastic_cc = orthrus_.elastic_cc;
   shared.n_parts = n_parts;
-  shared.adaptive_drain_batch = orthrus_.adaptive_drain_batch;
   shared.cc_op_cycles = orthrus_.cc_op_cycles;
   shared.vectorized_cc = orthrus_.vectorized_cc;
   shared.cc_batch = static_cast<std::size_t>(orthrus_.cc_batch);
@@ -2205,11 +2133,6 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
             ? static_cast<std::size_t>((n_exec + shards - 1) / shards)
             : static_cast<std::size_t>(n_exec);
     std::size_t mcap = per_txn_msgs * inflight * senders_per_shard + 4;
-    if (orthrus_.line_aligned_mesh) {
-      // Whole-line reservations pad every push to a line boundary, so the
-      // outstanding-slot bound inflates by up to a line per send.
-      mcap *= MultiMesh::kDefaultBatch;
-    }
     if (orthrus_.mesh_capacity_factor < 1.0) {
       // Deliberate under-provisioning (backpressure benches): sends that
       // exceed the scaled ring spin until the CC drains — never deadlock,
@@ -2217,12 +2140,9 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
       mcap = static_cast<std::size_t>(static_cast<double>(mcap) *
                                       orthrus_.mesh_capacity_factor);
     }
-    const std::size_t mcap_floor =
-        orthrus_.line_aligned_mesh ? MultiMesh::kDefaultBatch : 1;
-    if (mcap < mcap_floor) mcap = mcap_floor;
-    shared.exec_to_cc_multi.Reset(
-        n_cc, NextPowerOfTwo(mcap), shards, orthrus_.line_aligned_mesh,
-        /*skip=*/0, placement ? &cc_recv_multi : nullptr);
+    if (mcap < 1) mcap = 1;
+    shared.exec_to_cc_multi.Reset(n_cc, NextPowerOfTwo(mcap), shards,
+                                  placement ? &cc_recv_multi : nullptr);
   } else {
     shared.exec_to_cc.Reset(n_exec, n_cc, aq_cap,
                             placement ? &cc_recv : nullptr);
@@ -2230,13 +2150,6 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   shared.cc_to_cc.Reset(n_cc, n_cc, fq_cap, placement ? &cc_recv : nullptr);
   shared.cc_to_exec.Reset(n_cc, n_exec, gq_cap,
                           placement ? &exec_recv : nullptr);
-  if (!orthrus_.batched_mp) shared.drain_batch = 1;
-  if (!orthrus_.coalesced_send) shared.send_stage = 1;
-  if (orthrus_.adaptive_drain) {
-    // Measured-imbalance trigger: deepest-first only when a receiver's
-    // depth snapshot is actually skewed (see mp::DrainOrder::kAdaptive).
-    shared.drain_order = mp::DrainOrder::kAdaptive;
-  }
 
   runtime::WorkerPool pool(platform, options_.num_cores + loggers,
                            options_.duration_seconds, options_.rng_seed);

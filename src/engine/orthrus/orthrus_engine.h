@@ -4,8 +4,15 @@
 // concurrency control (each owns a disjoint partition of the lock space and
 // keeps its lock meta-data strictly core-local), and the remaining cores
 // run *only* transaction logic. The two kinds of cores share no data
-// structures; they cooperate exclusively through per-pair latch-free SPSC
-// message queues (Section 3.1).
+// structures; they cooperate exclusively through latch-free message queues
+// (Section 3.1): per-pair SPSC queues (mp::QueueMesh), except that with
+// elastic exec roles the exec->CC direction becomes one multi-producer
+// ring set per CC thread (mp::MultiMesh). Every sender stages its
+// messages per receiver (mp::SendBuffer) and flushes a receiver's stage
+// once it reaches that pair's measured per-quantum burst depth, capped at
+// one payload line, with a flush of everything at the end of each
+// scheduling quantum; receivers drain their queues a line at a time in
+// fixed sender order. There is no other send or drain policy.
 //
 // Lock acquisition follows the deadlock-avoidance discipline of Section
 // 3.2: a transaction's full lock set is known up front (from analysis or
@@ -38,58 +45,6 @@ struct OrthrusOptions {
 
   // Section 3.3 optimization: CC->CC forwarding of lock-acquisition chains.
   bool forwarding = true;
-
-  // Batched message delivery: drain queues a cache line of messages at a
-  // time instead of one message per pop. Ablation flag: off isolates the
-  // index-publication amortization (every pop publishes the head) — the
-  // line-packed payload layout of mp::SpscQueue stays active either way.
-  bool batched_mp = true;
-
-  // Sender-side counterpart of batched_mp: stage outgoing messages in a
-  // per-(sender, receiver) mp::SendBuffer and flush a payload line per
-  // tail publication, with an explicit FlushAll at the end of each
-  // scheduling quantum. Ablation flag: off degrades the stage depth to 1,
-  // i.e. one tail publication per message — the pre-coalescing behaviour.
-  bool coalesced_send = true;
-
-  // Adaptive drain order (mp::DrainOrder::kAdaptive): receivers snapshot
-  // their input-queue depths and switch to deepest-first service only when
-  // the snapshot is measurably imbalanced (max >= kImbalanceRatio * mean);
-  // balanced snapshots keep the fixed sender order. Deterministic, but a
-  // different event order than the fixed round-robin the equivalence
-  // digests are pinned to, so it is opt-in. Applies to the SPSC meshes
-  // only: in elastic mode the exec->CC path is MPSC (messages inside a
-  // shard already arrive in global order, so there is no per-sender
-  // queue depth to rank) and drains in fixed shard order.
-  bool adaptive_drain = false;
-
-  // Adaptive send-flush thresholds (mp::SendBuffer's adaptive_flush):
-  // size each (sender, receiver) pair's flush boundary from the measured
-  // per-quantum burst depth instead of always staging a full payload
-  // line. Cuts the up-to-a-quantum grant latency that quantum-end-only
-  // flushing costs at shallow bursts, while deep bursts keep the
-  // one-publication-per-line amortization. Changes flush timing, hence
-  // event order, so it is opt-in like adaptive_drain.
-  bool adaptive_flush = false;
-
-  // Receive-side mirror of adaptive_flush: size each thread's Drain
-  // max_batch from the measured per-quantum burst depth
-  // (mp::detail::BurstEstimator) instead of always popping up to a full
-  // payload line. Shallow steady traffic then publishes the consumer index
-  // after every few messages — senders see queue space sooner, cutting
-  // blocking-send backpressure — while deep bursts grow the batch back to
-  // the full line within a few quanta. Changes delivery granularity, hence
-  // event order, so it is opt-in like adaptive_drain.
-  bool adaptive_drain_batch = false;
-
-  // CC->exec grant combining: instead of one word per grant, a CC thread
-  // stages the grants produced during one scheduling quantum per exec
-  // thread and packs up to 7 of them (as in-flight-window slot ids) into a
-  // single message word flushed at quantum end. Fewer words on the
-  // grant-heavy CC->exec path at the price of up to a quantum of added
-  // grant latency — an ablation flag, measured in ablation_batching.
-  // Requires max_inflight <= 256 (slot ids must fit one byte).
-  bool combined_grants = false;
 
   // Elastic thread roles: make the CC/exec split a *runtime* property.
   // All (num_cores - num_cc) exec threads are spawned, but only a
@@ -172,16 +127,6 @@ struct OrthrusOptions {
   // partitioned functionality (Section 2.1 / 3.1).
   hal::Cycles cc_op_cycles = 12;
 
-  // Whole-line reservations for the elastic exec->CC MultiMesh
-  // (mp::MpscQueue's line_aligned mode): no two exec senders ever write
-  // payload words into the same line, eliminating the mid-line
-  // interleaving cost of the shared rings. The capacity bound is
-  // multiplied by the line size to absorb padding (see Run()'s mesh
-  // sizing); message encodings never produce the 0 word (TCB pointers are
-  // 512-aligned non-null), which serves as the skip sentinel. Requires
-  // elastic=true; off keeps the historical ring layout bit-for-bit.
-  bool line_aligned_mesh = false;
-
   // Scales the elastic exec->CC mesh capacity relative to its provable
   // bound (1.0 = fully provisioned, never blocks). Values < 1 deliberately
   // under-provision that mesh — and only that mesh; the CC-side meshes CC
@@ -205,14 +150,14 @@ struct OrthrusOptions {
   // batch (mp::QueueMesh::DrainInto) and processes the batch as a unit —
   // a prefetch sweep over every request's lock bucket, then in-order
   // processing with same-key run combining (one bucket walk and one grant
-  // decision chain per run) and grant accumulation flushed through the
-  // combined-grants staging path once per batch. Arrival order — and with
+  // decision chain per run) and grant accumulation packed into
+  // slot-id grant words and flushed once per batch. Arrival order — and with
   // it wait-die priority semantics and the per-lock FIFO queues the
   // equivalence digests pin — is untouched: the batch is processed in
   // exactly the order the scalar drain would have delivered. Off by
   // default: the scalar drain path stays byte-identical (sim clocks and
   // digests). Requires max_inflight <= 256 (grant staging uses one-byte
-  // slot ids, like combined_grants) and is incompatible with
+  // slot ids) and is incompatible with
   // shared_cc_table (whose CC loop is not message-shaped).
   bool vectorized_cc = false;
 

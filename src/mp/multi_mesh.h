@@ -92,14 +92,9 @@ class MultiMesh {
   // carried a sender may still hold undrained messages. Note the capacity
   // bound: with an adaptive modulus any ring may in the worst case serve
   // the whole population, so size `capacity` for all senders on one ring.
-  // `line_aligned`/`skip` select MpscQueue's whole-line reservation mode
-  // for every ring (capacity bounds must then be multiplied by
-  // kMsgsPerLine; `skip` must be a value no sender ever enqueues).
   // `placement`, when non-null, must have one entry per receiver and NUMA-
-  // places each receiver's rings. Defaults reproduce the historical mesh
-  // exactly.
+  // places each receiver's rings.
   void Reset(int receivers, std::size_t capacity, int shards = 1,
-             bool line_aligned = false, T skip = T(),
              const std::vector<ReceiverPlacement>* placement = nullptr) {
     ORTHRUS_CHECK(receivers >= 1);
     ORTHRUS_CHECK(shards >= 0);
@@ -118,7 +113,7 @@ class MultiMesh {
           placement != nullptr ? (*placement)[i / shards_]
                                : ReceiverPlacement{};
       queues_.push_back(std::make_unique<MpscQueue<T>>(  // lint:allow-alloc setup
-          capacity, line_aligned, skip, p.arena, p.home_socket));
+          capacity, p.arena, p.home_socket));
     }
   }
 

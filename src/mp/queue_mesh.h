@@ -12,8 +12,8 @@
 //    Messages are popped PopBatch-wise (up to a cache line per pop), so a
 //    burst from one sender costs one index publication and ~one payload
 //    line transfer per kMsgsPerLine messages instead of one per message.
-//    `max_batch = 1` degrades to per-message delivery — the ablation
-//    baseline for measuring exactly that difference.
+//    Senders are visited in fixed order, so the event order under the
+//    simulator is deterministic.
 #ifndef ORTHRUS_MP_QUEUE_MESH_H_
 #define ORTHRUS_MP_QUEUE_MESH_H_
 
@@ -28,42 +28,10 @@
 
 namespace orthrus::mp {
 
-// Order in which Drain visits the queues addressed to a receiver.
-enum class DrainOrder {
-  // Fixed sender order 0..N-1. The default: zero bookkeeping, and the
-  // bit-stable event order the engine equivalence digests are pinned to.
-  kRoundRobin,
-  // Snapshot consumer-visible depths, then serve the deepest queue first
-  // (ties broken by sender id, so the order stays deterministic). Under
-  // bursty or skewed fan-in the deepest queue bounds the burst's drain
-  // latency and marks the sender closest to blocking on a full queue, so
-  // serving it first cuts tail latency and Send backpressure. Costs one
-  // tail-index load per sender up front. Senders whose queues were empty
-  // at snapshot time are still visited, last and in ascending id order,
-  // so one Drain call never delivers less than the round-robin path.
-  kDeepestFirst,
-  // Measured-imbalance trigger: snapshot depths as kDeepestFirst does,
-  // but pay the sort and the reordering only when the snapshot is
-  // actually skewed — at least two non-empty senders, a burst deeper
-  // than one message, and max depth >= kImbalanceRatio * the mean depth
-  // over non-empty senders. Balanced and sparse snapshots are served in
-  // plain sender order.
-  // This replaces a static "always deepest-first" policy with one driven
-  // by what the receiver observes, per drain, at no extra modeled cost —
-  // the depth snapshot was already paid for.
-  kAdaptive,
-};
-
 template <typename T>
 class QueueMesh {
  public:
   static constexpr std::size_t kDefaultBatch = SpscQueue<T>::kMsgsPerLine;
-
-  // kAdaptive switches to deepest-first when the snapshot's max depth is
-  // at least this multiple of the mean depth over non-empty senders. 2 is
-  // deliberately low-drama: a single dominant burst trips it, steady
-  // balanced traffic never does.
-  static constexpr std::size_t kImbalanceRatio = 2;
 
   QueueMesh() = default;
 
@@ -100,14 +68,6 @@ class QueueMesh {
       queues_.push_back(  // lint:allow-alloc setup
           std::make_unique<SpscQueue<T>>(capacity, p.arena, p.home_socket));
     }
-    // Per-receiver depth scratch, pre-sized so the adaptive drain never
-    // allocates on the hot path. Each receiver thread touches only its own
-    // cache-line-aligned entry.
-    depth_scratch_.assign(static_cast<std::size_t>(receivers),
-                          ReceiverScratch{});
-    for (ReceiverScratch& s : depth_scratch_) {
-      s.depths.reserve(static_cast<std::size_t>(senders));
-    }
   }
 
   int senders() const { return senders_; }
@@ -128,137 +88,56 @@ class QueueMesh {
     while (!q.TryEnqueue(value)) spin.Pause();
   }
 
-  // Drains every queue addressed to `receiver`, invoking fn(message) on
-  // each message in per-sender FIFO order. Every sender is visited at
-  // least once regardless of `order`, so a single call always delivers the
-  // same multiset the round-robin path would. Pops in batches of up to
-  // `max_batch` (clamped to [1, one payload line]; callers commonly loop
-  // until Drain returns 0, so a zero batch must clamp up rather than
-  // silently deliver nothing forever). Returns messages delivered.
-  // `order` picks the sender visit order; see DrainOrder.
+  // Drains every queue addressed to `receiver` in fixed sender order
+  // 0..N-1, invoking fn(message) on each message in per-sender FIFO order.
+  // Pops in batches of up to `max_batch` (clamped to [1, one payload line];
+  // callers commonly loop until Drain returns 0, so a zero batch must
+  // clamp up rather than silently deliver nothing forever). Returns
+  // messages delivered.
   template <typename Fn>
   std::size_t Drain(int receiver, Fn&& fn,
-                    std::size_t max_batch = kDefaultBatch,
-                    DrainOrder order = DrainOrder::kRoundRobin) {
+                    std::size_t max_batch = kDefaultBatch) {
     ORTHRUS_DCHECK(max_batch >= 1);
     std::size_t batch = max_batch < kDefaultBatch ? max_batch : kDefaultBatch;
     if (batch == 0) batch = 1;
     T buf[kDefaultBatch];
     std::size_t delivered = 0;
-    // Pops one sender's queue until empty, shared by both visit orders.
-    const auto drain_queue = [&](SpscQueue<T>& q) {
+    for (int s = 0; s < senders_; ++s) {
+      SpscQueue<T>& q = at(s, receiver);
       std::size_t n;
       while ((n = q.PopBatch(buf, batch)) != 0) {
         for (std::size_t i = 0; i < n; ++i) fn(buf[i]);
         delivered += n;
       }
-    };
-    if (order != DrainOrder::kRoundRobin && senders_ > 1) {
-      ReceiverScratch& scratch = depth_scratch_[receiver];
-      std::vector<DepthEntry>& depths = scratch.depths;
-      depths.clear();
-      std::size_t max_depth = 0;
-      std::size_t total = 0;
-      int nonzero = 0;
-      for (int s = 0; s < senders_; ++s) {
-        const std::size_t d = at(s, receiver).SizeConsumer();
-        // Empty-at-snapshot senders stay in the list: the comparator sorts
-        // them last (ascending id), so messages landing mid-drain are
-        // still picked up by the final sweep.
-        depths.push_back({d, s});
-        total += d;
-        if (d != 0) nonzero++;
-        if (d > max_depth) max_depth = d;
-      }
-      // Reordering can only help when there are at least two competing
-      // non-empty senders and an actual burst (depth > 1): a sparse
-      // snapshot — e.g. one lone message among many empty queues, the
-      // steady state of a lightly loaded receiver — gains nothing from a
-      // sort, so it must not pay for one. The mean is taken over the
-      // non-empty senders for the same reason: in an engine-shaped mesh
-      // most senders are idle at any instant, and counting the empties
-      // would drag the mean toward zero and classify nearly-balanced
-      // active traffic as skewed.
-      const bool deepest =
-          order == DrainOrder::kDeepestFirst ||
-          (nonzero > 1 && max_depth > 1 &&
-           max_depth * static_cast<std::size_t>(nonzero) >=
-               kImbalanceRatio * total);
-      if (deepest) std::sort(depths.begin(), depths.end());
-      scratch.last_deepest = deepest;
-      for (const DepthEntry& e : depths) {
-        drain_queue(at(e.sender, receiver));
-      }
-      return delivered;
-    }
-    for (int s = 0; s < senders_; ++s) {
-      drain_queue(at(s, receiver));
     }
     return delivered;
   }
 
   // Drain-to-batch view: pops everything addressed to `receiver` directly
   // into the caller's flat buffer instead of invoking a per-message
-  // callback, visiting senders in exactly the order Drain would (including
-  // the snapshot/adaptive reorder), and stopping once `max_out` messages
-  // have been gathered — the remainder stays queued for the next call.
-  // Returns the number of messages written to `out`. This is the CC stage's
-  // vectorized intake: the receiver gets one contiguous span it can sweep
-  // with prefetches and process as a unit (gather -> prefetch -> process ->
-  // scatter) rather than a message at a time.
+  // callback, visiting senders in exactly the order Drain would, and
+  // stopping once `max_out` messages have been gathered — the remainder
+  // stays queued for the next call. Returns the number of messages written
+  // to `out`. This is the CC stage's vectorized intake: the receiver gets
+  // one contiguous span it can sweep with prefetches and process as a unit
+  // (gather -> prefetch -> process -> scatter) rather than a message at a
+  // time.
   std::size_t DrainInto(int receiver, T* out, std::size_t max_out,
-                        std::size_t max_batch = kDefaultBatch,
-                        DrainOrder order = DrainOrder::kRoundRobin) {
+                        std::size_t max_batch = kDefaultBatch) {
     ORTHRUS_DCHECK(max_batch >= 1);
     std::size_t batch = max_batch < kDefaultBatch ? max_batch : kDefaultBatch;
     if (batch == 0) batch = 1;
     std::size_t filled = 0;
-    // Pops one sender's queue until empty or the output span is full.
-    const auto drain_queue = [&](SpscQueue<T>& q) {
+    for (int s = 0; s < senders_; ++s) {
+      SpscQueue<T>& q = at(s, receiver);
       std::size_t n;
       while (filled < max_out &&
              (n = q.PopBatch(out + filled,
                              std::min(batch, max_out - filled))) != 0) {
         filled += n;
       }
-    };
-    if (order != DrainOrder::kRoundRobin && senders_ > 1) {
-      ReceiverScratch& scratch = depth_scratch_[receiver];
-      std::vector<DepthEntry>& depths = scratch.depths;
-      depths.clear();
-      std::size_t max_depth = 0;
-      std::size_t total = 0;
-      int nonzero = 0;
-      for (int s = 0; s < senders_; ++s) {
-        const std::size_t d = at(s, receiver).SizeConsumer();
-        depths.push_back({d, s});
-        total += d;
-        if (d != 0) nonzero++;
-        if (d > max_depth) max_depth = d;
-      }
-      const bool deepest =
-          order == DrainOrder::kDeepestFirst ||
-          (nonzero > 1 && max_depth > 1 &&
-           max_depth * static_cast<std::size_t>(nonzero) >=
-               kImbalanceRatio * total);
-      if (deepest) std::sort(depths.begin(), depths.end());
-      scratch.last_deepest = deepest;
-      for (const DepthEntry& e : depths) {
-        drain_queue(at(e.sender, receiver));
-      }
-      return filled;
-    }
-    for (int s = 0; s < senders_; ++s) {
-      drain_queue(at(s, receiver));
     }
     return filled;
-  }
-
-  // Whether the receiver's most recent snapshot-based Drain (kDeepestFirst
-  // or kAdaptive) actually reordered senders. Observability for tests and
-  // benches; meaningless after a kRoundRobin drain.
-  bool LastDrainWasDeepest(int receiver) const {
-    return depth_scratch_[static_cast<std::size_t>(receiver)].last_deepest;
   }
 
   // Unmodeled aggregate occupancy, for teardown assertions.
@@ -269,28 +148,9 @@ class QueueMesh {
   }
 
  private:
-  // Deepest first, ties by sender id: a total order, so the adaptive drain
-  // stays deterministic.
-  struct DepthEntry {
-    std::size_t depth;
-    int sender;
-    bool operator<(const DepthEntry& o) const {
-      if (depth != o.depth) return depth > o.depth;
-      return sender < o.sender;
-    }
-  };
-
-  // Line-aligned so adjacent receivers' vector headers never share a cache
-  // line (each receiver mutates its header on every adaptive drain).
-  struct alignas(kCacheLineSize) ReceiverScratch {
-    std::vector<DepthEntry> depths;
-    bool last_deepest = false;
-  };
-
   int senders_ = 0;
   int receivers_ = 0;
   std::vector<std::unique_ptr<SpscQueue<T>>> queues_;
-  std::vector<ReceiverScratch> depth_scratch_;
 };
 
 }  // namespace orthrus::mp

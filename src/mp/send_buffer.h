@@ -11,22 +11,18 @@
 //
 // The staging arrays are sender-private plain memory, so staging a message
 // costs no modeled coherence traffic at all; the shared queue is touched
-// only at flush time. A pair auto-flushes when its staging array fills
-// (default: one payload line, the point past which a bigger batch buys no
-// further line amortization); the owner must call FlushAll() at the end of
-// each scheduling quantum so staged messages never outlive the sender's
-// attention — an unflushed grant is a stalled transaction.
-//
-// Flush boundaries can instead be sized from the measured burst depth
-// (`adaptive_flush`): when a sender's bursts toward a receiver run shallow
-// — the common case for grant/ack traffic at low fan-in — waiting for a
-// full line means every message sits staged until the quantum-end
-// FlushAll, paying up to a quantum of latency for amortization that never
-// materializes. Each (sender, receiver) pair keeps a BurstEstimator fed
-// with the messages staged per quantum and flushes once the stage reaches
-// the estimated burst depth; deep bursts grow the estimate back to the
-// full line within a few quanta, so steady line-sized traffic keeps the
-// one-publication-per-line behaviour exactly.
+// only at flush time. Flush boundaries are sized from the measured burst
+// depth: each (sender, receiver) pair keeps a BurstEstimator fed with the
+// messages staged per scheduling quantum and flushes once its stage
+// reaches the estimated depth, capped at the stage capacity (default: one
+// payload line, the point past which a bigger batch buys no further line
+// amortization). Shallow bursts — the common case for grant/ack traffic
+// at low fan-in — then leave without waiting for the quantum end, while
+// deep bursts grow the estimate back to the full line within a few
+// quanta, so steady line-sized traffic keeps one publication per line.
+// The owner must call FlushAll() at the end of each scheduling quantum:
+// it is where bursts are measured, and staged messages must never outlive
+// the sender's attention — an unflushed grant is a stalled transaction.
 //
 // Flush is blocking like QueueMesh::Send: queue capacities are provable
 // bounds on outstanding messages (staging does not increase them — a
@@ -56,7 +52,7 @@ namespace orthrus::mp {
 namespace detail {
 
 // Integer EWMA of per-quantum burst depths toward one receiver, used to
-// size adaptive flush thresholds. Asymmetric rounding: estimates climb
+// size flush thresholds. Asymmetric rounding: estimates climb
 // (ceil) faster than they decay (floor), so a workload returning to deep
 // bursts recovers full-line staging in a few quanta while shallow phases
 // still pull the threshold down. Deterministic — pure integer state fed
@@ -78,7 +74,7 @@ class BurstEstimator {
   }
 
   // Flush threshold in [1, cap]; before the first observation the full
-  // line (`cap`) is used, i.e. exactly the non-adaptive behaviour.
+  // line (`cap`) is used.
   std::size_t Threshold(std::size_t cap) const {
     if (est_ == 0 || est_ >= cap) return cap;
     return est_;
@@ -90,46 +86,25 @@ class BurstEstimator {
   std::size_t est_ = 0;
 };
 
-// Receive-side batch policy: a BurstEstimator paired with its opt-in
-// flag and fallback, so every consumer sizing its drains adaptively
-// applies the same contract — threshold from the measured burst depth
-// when adaptive (the fallback until the first observation), and only
-// non-empty drains feed the estimate.
-class DrainBatchPolicy {
- public:
-  std::size_t Batch(bool adaptive, std::size_t fallback) const {
-    return adaptive ? est_.Threshold(fallback) : fallback;
-  }
-  void Observe(bool adaptive, std::size_t delivered) {
-    if (adaptive && delivered != 0) est_.Observe(delivered);
-  }
-  const BurstEstimator& estimator() const { return est_; }
-
- private:
-  BurstEstimator est_;
-};
-
 // The shared staging engine behind SendBuffer and MultiSendBuffer: the
-// per-receiver staging matrix, flush thresholds (fixed or burst-adaptive),
-// quantum bookkeeping, and the message/publication counters. The derived
+// per-receiver staging matrix, burst-sized flush thresholds, quantum
+// bookkeeping, and the message/publication counters. The derived
 // buffer contributes exactly one thing through CRTP: `queue(receiver)`,
 // the ring a receiver's stage flushes into.
 template <typename T, typename Derived>
 class SendStaging {
  public:
   std::size_t stage_capacity() const { return stage_; }
-  bool adaptive_flush() const { return adaptive_; }
 
   // Stages `value` for `receiver`; flushes the pair once its stage reaches
-  // the flush threshold (the full stage, or the measured burst depth when
-  // adaptive).
+  // the flush threshold (the measured burst depth, capped at the stage).
   void Send(int receiver, T value) {
     ORTHRUS_DCHECK(receiver >= 0 && receiver < receivers_);
     const std::size_t r = static_cast<std::size_t>(receiver);
     std::size_t& n = counts_[r];
     slots_[r * stage_ + n] = value;
     messages_++;
-    if (adaptive_) quantum_msgs_[r]++;
+    quantum_msgs_[r]++;
     if (++n >= FlushThreshold(r)) Flush(receiver);
   }
 
@@ -156,15 +131,13 @@ class SendStaging {
 
   // Flushes every pair, in ascending receiver order (deterministic under
   // the simulator). Call at the end of each scheduling quantum; this is
-  // also where the adaptive threshold observes the quantum's burst depths.
+  // also where the thresholds observe the quantum's burst depths.
   void FlushAll() {
     for (int r = 0; r < receivers_; ++r) {
       Flush(r);
-      if (adaptive_) {
-        const std::size_t i = static_cast<std::size_t>(r);
-        if (quantum_msgs_[i] != 0) bursts_[i].Observe(quantum_msgs_[i]);
-        quantum_msgs_[i] = 0;
-      }
+      const std::size_t i = static_cast<std::size_t>(r);
+      if (quantum_msgs_[i] != 0) bursts_[i].Observe(quantum_msgs_[i]);
+      quantum_msgs_[i] = 0;
     }
   }
 
@@ -183,24 +156,20 @@ class SendStaging {
   // average messages per publication, vs. exactly 1 for unbuffered Send.
   std::uint64_t publications() const { return publications_; }
 
-  // Current flush threshold toward `receiver` (== stage_capacity() when
-  // not adaptive or before the first observation). Test observability.
+  // Current flush threshold toward `receiver` (== stage_capacity() before
+  // the first observation). Test observability.
   std::size_t FlushThreshold(std::size_t receiver) const {
-    return adaptive_ ? bursts_[receiver].Threshold(stage_) : stage_;
+    return bursts_[receiver].Threshold(stage_);
   }
 
  protected:
-  SendStaging(int receivers, std::size_t stage_capacity, bool adaptive_flush)
+  SendStaging(int receivers, std::size_t stage_capacity)
       : receivers_(receivers),
         stage_(stage_capacity < 1 ? 1 : stage_capacity),
-        adaptive_(adaptive_flush),
         slots_(static_cast<std::size_t>(receivers) * stage_),
         counts_(static_cast<std::size_t>(receivers), 0),
-        // Quantum bookkeeping exists only when the adaptive threshold
-        // consumes it; the default path pays nothing for it.
-        quantum_msgs_(adaptive_flush ? static_cast<std::size_t>(receivers)
-                                     : 0),
-        bursts_(adaptive_flush ? static_cast<std::size_t>(receivers) : 0) {}
+        quantum_msgs_(static_cast<std::size_t>(receivers), 0),
+        bursts_(static_cast<std::size_t>(receivers)) {}
 
   SendStaging(const SendStaging&) = delete;
   SendStaging& operator=(const SendStaging&) = delete;
@@ -208,13 +177,12 @@ class SendStaging {
  private:
   const int receivers_;
   const std::size_t stage_;
-  const bool adaptive_;
   // Flat [receiver][stage_] staging matrix + per-receiver fill counts.
   // Plain memory: exactly one thread owns a buffer.
   std::vector<T> slots_;
   std::vector<std::size_t> counts_;
-  // Messages staged per receiver in the current quantum (adaptive-flush
-  // burst measurement; reset by FlushAll). Empty when not adaptive.
+  // Messages staged per receiver in the current quantum (burst
+  // measurement; reset by FlushAll).
   std::vector<std::size_t> quantum_msgs_;
   std::vector<BurstEstimator> bursts_;
   std::uint64_t messages_ = 0;
@@ -231,15 +199,12 @@ class SendBuffer final
   // tail once per line, matching the receive side's per-line pops.
   static constexpr std::size_t kDefaultStage = SpscQueue<T>::kMsgsPerLine;
 
-  // `stage_capacity = 1` degrades to exactly QueueMesh::Send's per-message
-  // publication behaviour — the ablation baseline. `adaptive_flush` sizes
-  // the per-receiver flush threshold from the measured burst depth instead
-  // of always staging a full line.
+  // `stage_capacity` caps the burst-sized flush threshold; 1 degrades to
+  // exactly QueueMesh::Send's per-message publication behaviour.
   SendBuffer(QueueMesh<T>* mesh, int sender,
-             std::size_t stage_capacity = kDefaultStage,
-             bool adaptive_flush = false)
+             std::size_t stage_capacity = kDefaultStage)
       : detail::SendStaging<T, SendBuffer<T>>(mesh->receivers(),
-                                              stage_capacity, adaptive_flush),
+                                              stage_capacity),
         mesh_(mesh),
         sender_(sender) {
     ORTHRUS_CHECK(sender >= 0 && sender < mesh->senders());
@@ -267,10 +232,9 @@ class MultiSendBuffer final
   static constexpr std::size_t kDefaultStage = MpscQueue<T>::kMsgsPerLine;
 
   explicit MultiSendBuffer(MultiMesh<T>* mesh, int shard_hint = 0,
-                           std::size_t stage_capacity = kDefaultStage,
-                           bool adaptive_flush = false)
-      : detail::SendStaging<T, MultiSendBuffer<T>>(
-            mesh->receivers(), stage_capacity, adaptive_flush),
+                           std::size_t stage_capacity = kDefaultStage)
+      : detail::SendStaging<T, MultiSendBuffer<T>>(mesh->receivers(),
+                                                   stage_capacity),
         mesh_(mesh),
         hint_(shard_hint),
         // Resolve through the routing modulus even at construction: on an

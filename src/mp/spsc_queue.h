@@ -118,8 +118,7 @@ class SpscQueue {
 
   // Consumer-side occupancy: refreshes the cached tail and returns how
   // many messages are currently poppable. Costs one (possibly remote) load
-  // of the shared tail index — the price QueueMesh's deepest-first drain
-  // pays for knowing queue depths.
+  // of the shared tail index.
   std::size_t SizeConsumer() {
     tail_cache_ = tail_.load();
     return static_cast<std::size_t>(tail_cache_ - head_local_);

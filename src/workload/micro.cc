@@ -80,13 +80,12 @@ class KvWorkload::ReadLogic final : public txn::TxnLogic {
                      "kv.row");
       sink ^= row[1];
     }
-    // Keep the reads observable.
-    sink_ = sink;
+    // Keep the row loads observable without a store: one logic instance
+    // serves every worker, so a shared member would be a data race. The
+    // empty asm consumes the XOR, so the compiler must still emit the loads.
+    asm volatile("" : : "r"(sink));
     return true;
   }
-
- private:
-  std::uint64_t sink_ = 0;
 };
 
 // --------------------------------------------------------------- source

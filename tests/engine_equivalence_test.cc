@@ -166,58 +166,36 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
                           RunOne(&eng, &plain, kExecWorkers, kExecWorkers));
   }
   // ORTHRUS variants: every message-passing configuration (forwarding
-  // on/off, batched delivery on/off, sender-side coalescing on/off,
-  // adaptive drain order / flush thresholds / drain batch sizing,
-  // combined grants, shared CC table) must agree with the
-  // shared-everything engines. Every case runs with elastic=false and
-  // elastic_cc=false (the OrthrusOptions defaults), so this whole list is
-  // the pin that the elastic-roles and lock-space-routing refactors left
-  // the static-mesh path producing the exact static-mesh digest; the
+  // on/off, shared CC table, vectorized CC stage, snapshot reads) must
+  // agree with the shared-everything engines. Every case runs with
+  // elastic=false and elastic_cc=false (the OrthrusOptions defaults), so
+  // this whole list is the pin that the elastic-roles and
+  // lock-space-routing refactors left the static-mesh path producing the
+  // exact static-mesh digest; the
   // separate clock-level pins are OrthrusRunsAreDeterministic plus the
   // exact message-count tests and the StaticKnobsAreInert clock probe in
   // orthrus_engine_test.
   struct OrthrusCase {
     bool forwarding;
-    bool batched_mp;
-    bool shared_cc;
-    bool adaptive_drain = false;
-    bool coalesced_send = true;
-    bool adaptive_flush = false;
-    bool combined_grants = false;
-    bool adaptive_drain_batch = false;
+    bool shared_cc = false;
     bool vectorized_cc = false;
     bool snapshot_reads = false;
   };
   for (const OrthrusCase& c :
-       {OrthrusCase{true, true, false}, OrthrusCase{false, true, false},
-        OrthrusCase{true, false, false}, OrthrusCase{true, true, true},
-        OrthrusCase{true, true, false, /*adaptive_drain=*/true},
-        OrthrusCase{true, true, false, false, /*coalesced_send=*/false},
-        OrthrusCase{true, true, false, false, true, /*adaptive_flush=*/true},
-        OrthrusCase{true, true, false, false, true, false,
-                    /*combined_grants=*/true},
-        OrthrusCase{true, true, false, false, true, false, false,
-                    /*adaptive_drain_batch=*/true},
-        OrthrusCase{true, true, false, false, true, false, false, false,
-                    /*vectorized_cc=*/true},
+       {OrthrusCase{true}, OrthrusCase{false},
+        OrthrusCase{true, /*shared_cc=*/true},
+        OrthrusCase{true, false, /*vectorized_cc=*/true},
         // snapshot_reads over pure RMW: every transaction still runs the
         // lock path, but versions install and the epoch clock ticks —
         // neither may change what commits.
-        OrthrusCase{true, true, false, false, true, false, false, false,
-                    false, /*snapshot_reads=*/true}}) {
+        OrthrusCase{true, false, false, /*snapshot_reads=*/true}}) {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     // One transaction in flight per exec thread: the commit cap is checked
     // before each issue, so each worker commits exactly its first K.
     oo.max_inflight = 1;
     oo.forwarding = c.forwarding;
-    oo.batched_mp = c.batched_mp;
     oo.shared_cc_table = c.shared_cc;
-    oo.adaptive_drain = c.adaptive_drain;
-    oo.coalesced_send = c.coalesced_send;
-    oo.adaptive_flush = c.adaptive_flush;
-    oo.combined_grants = c.combined_grants;
-    oo.adaptive_drain_batch = c.adaptive_drain_batch;
     oo.vectorized_cc = c.vectorized_cc;
     oo.snapshot_reads = c.snapshot_reads;
     ORTHRUS_CHECK(!oo.elastic);     // the static-mesh digest pin
@@ -441,23 +419,10 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTpccTransactionSet) {
     outcomes.emplace_back(eng.name(),
                           RunTpcc(&eng, kExecWorkers, kExecWorkers, 0));
   }
-  for (const bool adaptive : {false, true}) {
-    engine::OrthrusOptions oo;
-    oo.num_cc = kOrthrusCc;
-    oo.max_inflight = 1;
-    oo.adaptive_drain = adaptive;
-    engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
-    outcomes.emplace_back(eng.name(),
-                          RunTpcc(&eng, kOrthrusCc + kExecWorkers, kOrthrusCc,
-                                  kOrthrusCc));
-  }
   {
-    // Sender-side coalescing off: per-message tail publications, same
-    // committed multiset.
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     oo.max_inflight = 1;
-    oo.coalesced_send = false;
     engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
     outcomes.emplace_back(eng.name(),
                           RunTpcc(&eng, kOrthrusCc + kExecWorkers, kOrthrusCc,

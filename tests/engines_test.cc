@@ -143,6 +143,23 @@ TEST_P(EnginesOnPlatform, TwoPlReadOnlyNeverAborts) {
   EXPECT_EQ(r.total.deadlocks, 0u);
 }
 
+// The read path shares one TxnLogic instance across every worker, so any
+// per-call state it keeps is a data race under true concurrency (the TSan
+// lane runs this test).
+TEST(TwoPlNative, ReadOnlyKvWorkersShareNoLogicState) {
+  KvConfig c = SmallKv(1);
+  c.read_only = true;
+  KvWorkload wl(c);
+  TwoPlEngine eng(SmallRun(4), DeadlockPolicyKind::kWaitDie);
+  storage::Database db;
+  wl.Load(&db, 1);
+  hal::NativePlatform platform(4);
+  RunResult r = eng.Run(&platform, &db, wl);
+  EXPECT_GT(r.total.committed, 0u);
+  EXPECT_EQ(r.total.aborted, 0u);   // readers never conflict
+  EXPECT_EQ(wl.SumCounters(db), 0u);  // and never write
+}
+
 // -------------------------------------------------------- deadlock-free
 
 TEST_P(EnginesOnPlatform, DeadlockFreeNeverAborts) {
