@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "runtime/txn_driver.h"
+#include "runtime/locking_strategy.h"
 #include "storage/epoch_clock.h"
 #include "wal/wal.h"
 
@@ -17,72 +16,61 @@ using txn::LockMode;
 
 constexpr int kMaxAccesses = 40;  // matches the ORTHRUS TCB bound
 
-struct ShardReq;
-
-// Lock state for one key inside a partition shard. Plain memory: every
-// access happens under the shard's latch. (Same machinery as
-// engine/sharedcc — the write path *is* shared-CC, plus version installs.)
-struct ShardLock {
-  ShardReq* head = nullptr;
-  ShardReq* tail = nullptr;
-  std::uint32_t queued_total = 0;
-  std::uint32_t queued_x = 0;
-};
-
-// A worker's request node; `granted` is the local-spin FIFO handoff word
-// (see sharedcc_engine.cc for why it is a modeled atomic).
-struct ShardReq {
-  hal::Atomic<int> granted;
-  ShardReq* next = nullptr;
-  ShardReq* prev = nullptr;
-  ShardLock* lock = nullptr;
-  int shard = -1;
-  LockMode mode = LockMode::kShared;
-};
-
-struct LockKey {
-  std::uint32_t table;
-  std::uint64_t key;
-  bool operator==(const LockKey& o) const {
-    return table == o.table && key == o.key;
-  }
-};
-
-struct LockKeyHash {
-  std::size_t operator()(const LockKey& k) const {
-    std::uint64_t h = (k.key ^ (static_cast<std::uint64_t>(k.table) << 56)) *
-                      0x9E3779B97F4A7C15ull;
-    return static_cast<std::size_t>(h ^ (h >> 32));
-  }
-};
-
-struct alignas(kCacheLineSize) Shard {
-  hal::SpinLock latch;
-  std::unordered_map<LockKey, ShardLock, LockKeyHash> locks
-      ORTHRUS_GUARDED_BY(latch);
-};
-
-// Writers: sort by (partition, table, key), acquire from the partition
-// shards (ordered, deadlock-free), execute, install the committed
-// post-images into the version pairs, release. Classified read-only
-// transactions skip all of that: one read-epoch load, then a lock-free
-// versioned copy per row. Every wait loop in this strategy publishes the
-// worker's epoch heartbeats — that is what keeps the read epoch and the
-// reader floor advancing (and the floor spin in Table::InstallVersion
-// finite) no matter which worker is stuck behind which.
-class MvccStrategy final : public runtime::ExecutionStrategy {
+// A worker's epoch heartbeat slot, and the lock wait that keeps it live.
+// Every spin of a lock wait publishes both heartbeats (a waiter has no
+// install or snapshot read in flight) and offers a tick when no WAL logger
+// ticks: the holder it waits on may be spinning on the reader floor in
+// Table::InstallVersion, which needs every other worker's heartbeats to
+// advance (storage/epoch_clock.h). FIFO otherwise — ordered acquisition
+// makes the wait finite, so it never reports a deadlock.
+class EpochHeartbeat final : public lock::DeadlockPolicy {
  public:
-  MvccStrategy(std::vector<Shard>* shards, const storage::Partitioner* part,
-               storage::Database* db, hal::Cycles op_cycles, int hb_slot,
-               bool wal_ticks, WorkerStats* stats)
-      : shards_(shards),
-        part_(part),
+  EpochHeartbeat(storage::EpochClock* clock, int slot, bool wal_ticks)
+      : clock_(clock), slot_(slot), wal_ticks_(wal_ticks) {}
+
+  void Beat() {
+    clock_->PublishIdle(slot_, &cache_);
+    if (!wal_ticks_) clock_->MaybeTick(hal::Now());
+  }
+
+  bool WaitForGrant(lock::WorkerLockCtx* /*me*/, lock::Request* req,
+                    lock::LockTable* /*table*/) override {
+    while (req->granted.load() == 0) {
+      Beat();
+      hal::CpuRelax();
+    }
+    return true;
+  }
+  const char* name() const override { return "epoch-heartbeat-wait"; }
+
+  int slot() const { return slot_; }
+  storage::EpochClock::PublishCache* cache() { return &cache_; }
+
+ private:
+  storage::EpochClock* clock_;
+  int slot_;
+  bool wal_ticks_;
+  storage::EpochClock::PublishCache cache_;
+};
+
+// Writers run the deadlock-free engine's path — sort by (table, key),
+// acquire everything from the shared lock table in that order, execute —
+// and additionally install the committed post-images into the version
+// pairs before releasing. Classified read-only transactions skip all of
+// that: one read-epoch load, then a lock-free versioned copy per row. The
+// transaction boundary, every lock wait (EpochHeartbeat) and every driver
+// WAL wait (Idle) publish the worker's epoch heartbeats — that is what
+// keeps the read epoch and the reader floor advancing (and the floor spin
+// in Table::InstallVersion finite) no matter which worker is stuck behind
+// which.
+class MvccStrategy final : public runtime::LockingStrategy {
+ public:
+  MvccStrategy(lock::LockTable* lock_table, lock::WorkerLockCtx* ctx,
+               EpochHeartbeat* hb, storage::Database* db, WorkerStats* stats)
+      : LockingStrategy(lock_table, ctx, hb, stats),
         db_(db),
         clock_(db->epoch_clock()),
-        op_cycles_(op_cycles),
-        hb_slot_(hb_slot),
-        wal_ticks_(wal_ticks),
-        stats_(stats) {
+        hb_(hb) {
     std::uint32_t max_stride = 8;
     table_snapshot_ok_.resize(db->num_tables());
     for (std::size_t i = 0; i < db->num_tables(); ++i) {
@@ -97,53 +85,37 @@ class MvccStrategy final : public runtime::ExecutionStrategy {
     scratch_.resize(static_cast<std::size_t>(kMaxAccesses) * max_stride);
   }
 
+  void Idle() override { hb_->Beat(); }
+
   runtime::TxnOutcome TryExecute(txn::Txn* t) override {
     ORTHRUS_CHECK(t->accesses.size() <= kMaxAccesses);
     // Transaction boundary: no install or snapshot read in flight, so both
     // heartbeats may advance; tick the clock if no WAL logger does.
-    Heartbeat();
+    hb_->Beat();
     if (t->read_only && SnapshotEligible(t)) return SnapshotExecute(t);
 
-    const storage::Partitioner& part = *part_;
-    std::sort(t->accesses.begin(), t->accesses.end(),
-              [&part](const Access& a, const Access& b) {
-                const int pa = part.PartOf(a.key);
-                const int pb = part.PartOf(b.key);
-                if (pa != pb) return pa < pb;
-                if (a.table != b.table) return a.table < b.table;
-                return a.key < b.key;
-              });
-
+    std::sort(t->accesses.begin(), t->accesses.end(), txn::AccessKeyOrder());
     hal::Cycles t0 = hal::Now();
-    n_held_ = 0;
-    for (const Access& a : t->accesses) Acquire(a);
-    stats_->Add(TimeCategory::kLocking, hal::Now() - t0);
+    for (const Access& a : t->accesses) AcquireOrdered(a);
+    stats()->Add(TimeCategory::kLocking, hal::Now() - t0);
 
     t0 = hal::Now();
     for (Access& a : t->accesses) ResolveRow(db_, &a);
-    txn::ExecContext ec{db_, stats_, /*charge_cycles=*/true};
+    txn::ExecContext ec{db_, stats(), /*charge_cycles=*/true};
     const bool ok = t->logic->Run(t, ec);
-    stats_->Add(TimeCategory::kExecution, hal::Now() - t0);
+    stats()->Add(TimeCategory::kExecution, hal::Now() - t0);
 
     // Durability: capture redo images while every lock is still held.
     if (ok && wal_ != nullptr) wal_->Capture(t, db_);
     // Version install: also under the X locks — the post-images just
     // written by the logic become the newest committed versions.
     if (ok) InstallVersions(t);
-
-    t0 = hal::Now();
-    ReleaseAll();
-    stats_->Add(TimeCategory::kLocking, hal::Now() - t0);
+    ReleaseAllLocks();
     return ok ? runtime::TxnOutcome::kCommitted
               : runtime::TxnOutcome::kMismatch;
   }
 
  private:
-  void Heartbeat() {
-    clock_->PublishIdle(hb_slot_, &cache_);
-    if (!wal_ticks_) clock_->MaybeTick(hal::Now());
-  }
-
   bool SnapshotEligible(const txn::Txn* t) const {
     if (t->logic->NeedsReconnaissance()) return false;
     for (const Access& a : t->accesses) {
@@ -173,128 +145,45 @@ class MvccStrategy final : public runtime::ExecutionStrategy {
       // reader heartbeat (licensing the floor to move past the abandoned
       // reads), and restart the whole read set at a fresher epoch — a
       // per-row refresh would observe mixed epochs.
-      Heartbeat();
+      hb_->Beat();
       // A stale row means writers have moved past `r`; fold the read epoch
       // forward now rather than waiting out the tick interval.
       clock_->FoldMins();
       hal::CpuRelax();
       r = clock_->ReadEpoch();
     }
-    txn::ExecContext ec{db_, stats_, /*charge_cycles=*/true};
+    txn::ExecContext ec{db_, stats(), /*charge_cycles=*/true};
     const bool ok = t->logic->Run(t, ec);
-    stats_->Add(TimeCategory::kExecution, hal::Now() - t0);
+    stats()->Add(TimeCategory::kExecution, hal::Now() - t0);
     if (!ok) return runtime::TxnOutcome::kMismatch;
     if (wal_ != nullptr) {
       // Read-only commits are trivially durable (no redo), so they never
       // enter the WAL pipeline; the driver only counts commits on the
       // no-WAL path, so count here.
-      stats_->committed++;
-      stats_->txn_latency.Record(hal::Now() - t->start_cycles);
+      stats()->committed++;
+      stats()->txn_latency.Record(hal::Now() - t->start_cycles);
     }
     return runtime::TxnOutcome::kCommitted;
   }
 
   void InstallVersions(txn::Txn* t) {
     const std::uint64_t e = clock_->CommitEpoch();
-    clock_->PublishWriter(hb_slot_, e, &cache_);
+    clock_->PublishWriter(hb_->slot(), e, hb_->cache());
     for (Access& a : t->accesses) {
       if (a.mode != LockMode::kExclusive) continue;
       storage::Table* tbl = db_->GetTable(a.table);
       if (!tbl->versions_enabled()) continue;
-      tbl->InstallVersion(tbl->SlotOfRow(a.row), e, clock_, hb_slot_,
-                          &cache_);
+      tbl->InstallVersion(tbl->SlotOfRow(a.row), e, clock_, hb_->slot(),
+                          hb_->cache());
     }
   }
 
-  void Acquire(const Access& a) {
-    const int p = part_->PartOf(a.key);
-    Shard& s = (*shards_)[static_cast<std::size_t>(p)];
-    ShardReq* r = &reqs_[n_held_++];
-    r->next = r->prev = nullptr;
-    r->shard = p;
-    r->mode = a.mode;
-    s.latch.Lock();
-    hal::ConsumeCycles(op_cycles_);
-    ShardLock& lock = s.locks[LockKey{a.table, a.key}];
-    r->lock = &lock;
-    const bool grantable = a.mode == LockMode::kExclusive
-                               ? lock.queued_total == 0
-                               : lock.queued_x == 0;
-    r->prev = lock.tail;
-    if (lock.tail != nullptr) {
-      lock.tail->next = r;
-    } else {
-      lock.head = r;
-    }
-    lock.tail = r;
-    lock.queued_total++;
-    if (a.mode == LockMode::kExclusive) lock.queued_x++;
-    r->granted.store(grantable ? 1 : 0);
-    s.latch.Unlock();
-    if (!grantable) {
-      stats_->lock_waits++;
-      const hal::Cycles w0 = hal::Now();
-      while (r->granted.load() == 0) {
-        // Keep the epoch machinery live while blocked: the lock holder
-        // may be spinning on the reader floor, which needs our
-        // heartbeats (and someone ticking) to advance.
-        Heartbeat();
-        hal::CpuRelax();
-      }
-      stats_->Add(TimeCategory::kWaiting, hal::Now() - w0);
-    }
-  }
-
-  void ReleaseAll() {
-    for (int i = 0; i < n_held_; ++i) {
-      ShardReq* r = &reqs_[i];
-      Shard& s = (*shards_)[static_cast<std::size_t>(r->shard)];
-      s.latch.Lock();
-      hal::ConsumeCycles(op_cycles_);
-      ShardLock* lock = r->lock;
-      ORTHRUS_DCHECK(lock->queued_total > 0);
-      lock->queued_total--;
-      if (r->mode == LockMode::kExclusive) lock->queued_x--;
-      if (r->prev != nullptr) {
-        r->prev->next = r->next;
-      } else {
-        lock->head = r->next;
-      }
-      if (r->next != nullptr) {
-        r->next->prev = r->prev;
-      } else {
-        lock->tail = r->prev;
-      }
-      bool x_seen = false;
-      for (ShardReq* f = lock->head; f != nullptr; f = f->next) {
-        if (f->granted.load() == 0) {
-          const bool grantable = f->mode == LockMode::kExclusive
-                                     ? f == lock->head
-                                     : !x_seen;
-          if (!grantable) break;
-          f->granted.store(1);
-        }
-        if (f->mode == LockMode::kExclusive) x_seen = true;
-      }
-      s.latch.Unlock();
-    }
-    n_held_ = 0;
-  }
-
-  std::vector<Shard>* shards_;
-  const storage::Partitioner* part_;
   storage::Database* db_;
   storage::EpochClock* clock_;
-  hal::Cycles op_cycles_;
-  int hb_slot_;
-  bool wal_ticks_;
-  WorkerStats* stats_;
-  storage::EpochClock::PublishCache cache_;
+  EpochHeartbeat* hb_;
   std::vector<bool> table_snapshot_ok_;
   std::vector<std::uint8_t> scratch_;  // snapshot staging, setup-sized
   std::uint32_t scratch_stride_ = 0;
-  ShardReq reqs_[kMaxAccesses];
-  int n_held_ = 0;
 };
 
 }  // namespace
@@ -302,9 +191,11 @@ class MvccStrategy final : public runtime::ExecutionStrategy {
 RunResult MvccEngine::Run(hal::Platform* platform, storage::Database* db,
                           const workload::Workload& workload) {
   const int n = options_.num_cores;
-  const int n_shards = db->partitioner().n;
-  ORTHRUS_CHECK(n_shards >= 1);
-  std::vector<Shard> shards(static_cast<std::size_t>(n_shards));
+  lock::LockTable::Config lt_config;
+  lt_config.num_buckets = options_.lock_buckets;
+  lt_config.max_lock_heads = options_.max_lock_heads;
+  lt_config.max_workers = n;
+  lock::LockTable lock_table(lt_config);
 
   // Version pairs + epoch clock, (re)seeded from the current main slabs —
   // after a WAL recovery this folds the replayed images into the snapshot
@@ -316,14 +207,20 @@ RunResult MvccEngine::Run(hal::Platform* platform, storage::Database* db,
   const int loggers = options_.wal != nullptr ? options_.wal->loggers() : 0;
   runtime::WorkerPool pool(platform, n + loggers, options_.duration_seconds,
                            options_.rng_seed);
+  std::vector<lock::WorkerLockCtx*> ctxs(n);
+  for (int w = 0; w < n; ++w) {
+    ctxs[w] = lock_table.RegisterWorker(w, &pool.worker(w).stats);
+  }
+
   const runtime::DriverOptions dopts = MakeDriverOptions(options_);
   for (int w = 0; w < n; ++w) {
-    pool.Spawn(w, [this, db, &workload, &shards, &dopts,
+    pool.Spawn(w, [this, db, &workload, &lock_table, &ctxs, &dopts,
                    wal_ticks](runtime::WorkerContext& ctx) {
       std::unique_ptr<workload::TxnSource> source =
           workload.MakeSource(ctx.worker_id);
-      MvccStrategy strategy(&shards, &db->partitioner(), db, cc_op_cycles_,
-                            ctx.worker_id, wal_ticks, &ctx.stats);
+      EpochHeartbeat hb(db->epoch_clock(), ctx.worker_id, wal_ticks);
+      MvccStrategy strategy(&lock_table, ctxs[ctx.worker_id], &hb, db,
+                            &ctx.stats);
       runtime::TxnDriver driver(dopts, db, source.get(), &strategy, &ctx);
       std::unique_ptr<wal::Producer> producer;
       if (options_.wal != nullptr) {

@@ -1,22 +1,19 @@
 #include "lock/lock_table.h"
 
+#include <type_traits>
+
 namespace orthrus::lock {
 
 LockTable::LockTable(Config config) : config_(config) {
   const std::uint64_t n = NextPowerOfTwo(config_.num_buckets);
   config_.num_buckets = n;
   bucket_mask_ = n - 1;
-  if (config_.arena != nullptr) {
-    buckets_ = config_.arena->AllocateArray<Bucket>(n);
-    head_pool_ =
-        config_.arena->AllocateArray<LockHead>(config_.max_lock_heads);
-  } else {
-    owned_buckets_ = std::make_unique<Bucket[]>(n);  // lint:allow-alloc setup
-    owned_head_pool_ =  // lint:allow-alloc setup
-        std::make_unique<LockHead[]>(config_.max_lock_heads);
-    buckets_ = owned_buckets_.get();
-    head_pool_ = owned_head_pool_.get();
-  }
+  buckets_ = std::make_unique<Bucket[]>(n);  // lint:allow-alloc setup
+  // Default-initialized, so a pool page is first touched when a worker
+  // carves a head from it, not here.
+  static_assert(std::is_trivially_default_constructible_v<LockHead>);
+  // lint:allow-alloc setup
+  head_pool_.reset(new LockHead[config_.max_lock_heads]);
   if (config_.home_socket >= 0) {
     for (std::uint64_t i = 0; i < n; ++i) {
       buckets_[i].latch.SetHomeRaw(config_.home_socket);
@@ -57,8 +54,18 @@ LockTable::Bucket* LockTable::BucketFor(std::uint32_t table,
 LockHead* LockTable::FindOrCreateHead(WorkerLockCtx* ctx, Bucket* b,
                                       std::uint32_t table,
                                       std::uint64_t key) {
+  LockHead* drained = nullptr;
   for (LockHead* h = b->heads; h != nullptr; h = h->next_in_bucket) {
     if (h->key == key && h->table == table) return h;
+    if (drained == nullptr && h->queued_total == 0) drained = h;
+  }
+  if (drained != nullptr) {
+    // No request is queued on it, so no request's `head` names it: the
+    // re-key is invisible outside this latch hold. Its queue is empty and
+    // its chain link stays as is.
+    drained->table = table;
+    drained->key = key;
+    return drained;
   }
   ORTHRUS_CHECK_MSG(ctx->head_shard_left > 0, "lock-head shard exhausted");
   LockHead* h = ctx->head_shard++;

@@ -5,7 +5,10 @@
 //    global latch, no intention locks — only record-grained logical locks);
 //  * **no memory allocator interaction** on the hot path: request nodes come
 //    from per-worker freelists, lock heads from a pre-sized pool with a bump
-//    allocator, and both are recycled for the whole run;
+//    allocator. A head whose queue has drained stays on its hash chain and
+//    is re-keyed by the next miss on that chain, so a chain holds its
+//    bucket's peak number of simultaneously locked keys, not every key the
+//    run ever locked;
 //  * strict FIFO grant order per lock (no bypassing), which gives
 //    starvation freedom and, combined with ordered acquisition, deadlock
 //    freedom for the Deadlock-free baseline.
@@ -24,7 +27,6 @@
 #include "common/macros.h"
 #include "common/stats.h"
 #include "hal/hal.h"
-#include "hal/slab_arena.h"
 #include "txn/txn.h"
 
 namespace orthrus::lock {
@@ -99,19 +101,25 @@ struct Request {
   hal::Atomic<std::uint32_t> granted{0};
 };
 
-// Lock state for one (table, key). Lives for the whole run once created
-// (lock heads are recycled, never freed, so no cross-worker deallocation).
+// Lock state for one (table, key) while any request for it is queued. Once
+// carved from the pool a head stays on its bucket's chain for the whole run
+// (never freed, so no cross-worker deallocation); after its queue drains
+// (queued_total == 0) a miss on the same chain may re-key it under the
+// bucket latch. A queued request's `head` therefore always names a head
+// keyed to that request's lock. No default member initializers: the pool
+// is left uninitialized so only carved heads touch memory, and carving
+// sets every field.
 struct LockHead {
-  std::uint32_t table = 0;
-  std::uint64_t key = 0;
-  Request* queue_head = nullptr;
-  Request* queue_tail = nullptr;
-  LockHead* next_in_bucket = nullptr;
+  std::uint32_t table;
+  std::uint64_t key;
+  Request* queue_head;
+  Request* queue_tail;
+  LockHead* next_in_bucket;
   // Queue composition counters: make the arrival grant check O(1) and the
   // release grant sweep a single early-terminating pass. (S is grantable
   // iff no X is queued ahead; X iff nothing is ahead.)
-  std::uint32_t queued_total = 0;
-  std::uint32_t queued_x = 0;
+  std::uint32_t queued_total;
+  std::uint32_t queued_x;
 };
 
 class LockTable {
@@ -131,10 +139,6 @@ class LockTable {
     // data-movement overhead of Section 2.1, and it makes latch hold times
     // grow with contention (the feedback loop behind Figure 1's collapse).
     hal::Cycles node_touch_cycles = 40;
-    // Arena backing the bucket array and lock-head pool (NUMA node binding;
-    // both types are trivially destructible, so the arena's no-free model
-    // fits). Must outlive the table. Null keeps owned heap arrays.
-    hal::SlabArena* arena = nullptr;
     // Modeled socket the bucket latch lines live on (-1 = unplaced); only a
     // multi-socket SimConfig consults it.
     int home_socket = -1;
@@ -207,6 +211,7 @@ class LockTable {
   void RefreshBlocker(WorkerLockCtx* ctx);
 
   const Config& config() const { return config_; }
+  // Heads carved from the pool so far; a re-keyed head counts once.
   std::uint64_t lock_heads_in_use() const;
 
  private:
@@ -216,8 +221,9 @@ class LockTable {
   };
 
   Bucket* BucketFor(std::uint32_t table, std::uint64_t key);
-  // Finds or creates the lock head (allocating from ctx's pool shard);
-  // bucket latch must be held.
+  // Finds the lock head of (table, key) on the bucket's chain; on a miss
+  // re-keys the first drained head of the chain, or carves a new one from
+  // ctx's pool shard when none is drained. Bucket latch must be held.
   LockHead* FindOrCreateHead(WorkerLockCtx* ctx, Bucket* b,
                              std::uint32_t table, std::uint64_t key)
       ORTHRUS_REQUIRES(b->latch);
@@ -238,10 +244,8 @@ class LockTable {
 
   Config config_;
   std::uint64_t bucket_mask_;
-  std::unique_ptr<Bucket[]> owned_buckets_;     // heap fallback (no arena)
-  std::unique_ptr<LockHead[]> owned_head_pool_;
-  Bucket* buckets_ = nullptr;
-  LockHead* head_pool_ = nullptr;
+  std::unique_ptr<Bucket[]> buckets_;
+  std::unique_ptr<LockHead[]> head_pool_;  // uninitialized until carved
   std::uint64_t heads_per_worker_ = 0;
   std::vector<std::unique_ptr<WorkerLockCtx>> workers_;
 };

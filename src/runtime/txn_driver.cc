@@ -23,6 +23,7 @@ void TxnDriver::Run() {
       // outside any lock — until a whole transaction's fragments fit.
       wal_->Poll();
       if (!wal_->AdmitReady()) {
+        strategy_->Idle();
         hal::CpuRelax();
         continue;
       }
@@ -65,6 +66,7 @@ void TxnDriver::Run() {
     const hal::Cycles t0 = hal::Now();
     while (!wal_->Drained()) {
       wal_->Poll();
+      strategy_->Idle();
       hal::CpuRelax();
     }
     ctx_->stats.wal_wait_cycles += hal::Now() - t0;

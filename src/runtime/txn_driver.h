@@ -48,6 +48,12 @@ class ExecutionStrategy {
   virtual ~ExecutionStrategy() = default;
   virtual TxnOutcome TryExecute(txn::Txn* t) = 0;
 
+  // Called on each spin of the driver's WAL waits (the admission gate and
+  // the final drain), where the worker holds no lock and runs nothing. A
+  // strategy whose peers can wait on this worker's progress publishes it
+  // here (MVCC's epoch heartbeats).
+  virtual void Idle() {}
+
   // Durability attachment. When set, a strategy must call
   // wal_->Capture(t, db) after the transaction's logic has succeeded and
   // *before releasing its exclusive locks* — the capture reads the commit

@@ -2,6 +2,7 @@
 // policies: grant compatibility, FIFO fairness, wake-ups, wait-die ordering
 // rules, and forced-deadlock detection for the graph-based schemes.
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -92,6 +93,163 @@ TEST_F(LockTableBasic, LockHeadsAreReused) {
     table_.ReleaseAll(ctx_[0]);
   }
   EXPECT_EQ(table_.lock_heads_in_use(), 1u);
+}
+
+// --- Lock-head reuse: a miss re-keys the first drained head on its chain,
+// so a chain holds its bucket's peak number of keys locked at once. One
+// bucket puts every key on the same chain.
+
+LockTable::Config OneBucketConfig() {
+  LockTable::Config c = SmallConfig();
+  c.num_buckets = 1;
+  return c;
+}
+
+TEST(LockTableHeadReuse, KeysLockedOneAtATimeShareOneHead) {
+  LockTable table(OneBucketConfig());
+  WorkerStats stats;
+  WorkerLockCtx* ctx = table.RegisterWorker(0, &stats);
+  for (std::uint64_t key = 0; key < 1000; ++key) {
+    ASSERT_EQ(table.Acquire(ctx, 1, key, LockMode::kExclusive, nullptr),
+              LockTable::AcquireResult::kGranted);
+    table.ReleaseAll(ctx);
+  }
+  EXPECT_EQ(table.lock_heads_in_use(), 1u);
+}
+
+TEST(LockTableHeadReuse, KeysHeldTogetherGetDistinctHeads) {
+  LockTable table(OneBucketConfig());
+  WorkerStats stats[2];
+  WorkerLockCtx* c0 = table.RegisterWorker(0, &stats[0]);
+  WorkerLockCtx* c1 = table.RegisterWorker(1, &stats[1]);
+  ASSERT_EQ(table.Acquire(c0, 1, 1, LockMode::kExclusive, nullptr),
+            LockTable::AcquireResult::kGranted);
+  ASSERT_EQ(table.Acquire(c1, 1, 2, LockMode::kExclusive, nullptr),
+            LockTable::AcquireResult::kGranted);
+  const LockHead* h0 = c0->acquired[0]->head;
+  const LockHead* h1 = c1->acquired[0]->head;
+  EXPECT_NE(h0, h1);
+  EXPECT_EQ(h0->key, 1u);
+  EXPECT_EQ(h1->key, 2u);
+  EXPECT_EQ(table.lock_heads_in_use(), 2u);
+  table.ReleaseAll(c0);
+  table.ReleaseAll(c1);
+  // Two new keys held together re-key both drained heads.
+  ASSERT_EQ(table.Acquire(c0, 1, 3, LockMode::kExclusive, nullptr),
+            LockTable::AcquireResult::kGranted);
+  ASSERT_EQ(table.Acquire(c0, 1, 4, LockMode::kExclusive, nullptr),
+            LockTable::AcquireResult::kGranted);
+  EXPECT_NE(c0->acquired[0]->head, c0->acquired[1]->head);
+  EXPECT_EQ(table.lock_heads_in_use(), 2u);
+  table.ReleaseAll(c0);
+}
+
+TEST(LockTableHeadReuse, HeadWithQueuedWaiterKeepsItsKey) {
+  LockTable table(OneBucketConfig());
+  WorkerStats stats[3];
+  WorkerLockCtx* ctx[3];
+  for (int i = 0; i < 3; ++i) ctx[i] = table.RegisterWorker(i, &stats[i]);
+  ASSERT_EQ(table.Acquire(ctx[0], 1, 5, LockMode::kExclusive, nullptr),
+            LockTable::AcquireResult::kGranted);
+  ASSERT_EQ(table.Acquire(ctx[1], 1, 5, LockMode::kExclusive, nullptr),
+            LockTable::AcquireResult::kWaiting);
+  Request* waiter = ctx[1]->waiting_request;
+  const LockHead* head = waiter->head;
+  // Churn the chain while key 5 is held and waited on: the churn re-keys
+  // its own drained head, never key 5's.
+  for (std::uint64_t key = 100; key < 200; ++key) {
+    ASSERT_EQ(table.Acquire(ctx[2], 1, key, LockMode::kExclusive, nullptr),
+              LockTable::AcquireResult::kGranted);
+    table.ReleaseAll(ctx[2]);
+  }
+  EXPECT_EQ(head->table, 1u);
+  EXPECT_EQ(head->key, 5u);
+  EXPECT_EQ(table.lock_heads_in_use(), 2u);
+  // The holder leaves; the waiter is granted on the same head.
+  table.ReleaseAll(ctx[0]);
+  EXPECT_EQ(waiter->granted.RawLoad(), 1u);
+  EXPECT_TRUE(table.Wait(ctx[1], nullptr));
+  EXPECT_EQ(waiter->head, head);
+  EXPECT_EQ(head->key, 5u);
+  table.ReleaseAll(ctx[1]);
+  EXPECT_EQ(table.lock_heads_in_use(), 2u);
+}
+
+TEST(LockTableHeadReuse, BatchOverRekeyedHeadsMatchesSequentialAcquire) {
+  // Two tables warmed to four drained heads on their single chain, then
+  // the same mixed stream (shared runs, X conflicts, wait-die deaths) as
+  // one AcquireBatch on one table and as sequential Acquire calls on the
+  // other.
+  struct Item {
+    int worker;
+    std::uint32_t table;
+    std::uint64_t key;
+    LockMode mode;
+  };
+  const Item stream[] = {
+      {0, 1, 7, LockMode::kShared},    {1, 1, 7, LockMode::kShared},
+      {2, 1, 7, LockMode::kExclusive}, {3, 1, 7, LockMode::kShared},
+      {0, 1, 8, LockMode::kExclusive}, {1, 1, 8, LockMode::kExclusive},
+      {3, 1, 8, LockMode::kShared},    {2, 2, 8, LockMode::kShared},
+      {3, 1, 9, LockMode::kExclusive}, {0, 1, 9, LockMode::kShared},
+  };
+  constexpr std::size_t kN = sizeof(stream) / sizeof(stream[0]);
+  constexpr std::uint64_t kAge[4] = {102, 100, 103, 101};
+  WaitDiePolicy policy;
+
+  LockTable batched(OneBucketConfig());
+  LockTable sequential(OneBucketConfig());
+  WorkerStats bstats[4];
+  WorkerStats sstats[4];
+  WorkerLockCtx* bctx[4];
+  WorkerLockCtx* sctx[4];
+  for (int i = 0; i < 4; ++i) {
+    bctx[i] = batched.RegisterWorker(i, &bstats[i]);
+    sctx[i] = sequential.RegisterWorker(i, &sstats[i]);
+  }
+  for (LockTable* t : {&batched, &sequential}) {
+    WorkerLockCtx* c = t == &batched ? bctx[0] : sctx[0];
+    for (std::uint64_t key = 1000; key < 1004; ++key) {
+      ASSERT_EQ(t->Acquire(c, 1, key, LockMode::kExclusive, nullptr),
+                LockTable::AcquireResult::kGranted);
+    }
+    t->ReleaseAll(c);
+    ASSERT_EQ(t->lock_heads_in_use(), 4u);
+  }
+  for (int i = 0; i < 4; ++i) {
+    bctx[i]->txn_timestamp = kAge[i];
+    sctx[i]->txn_timestamp = kAge[i];
+  }
+
+  LockTable::BatchRequest reqs[kN];
+  LockTable::AcquireResult seq[kN];
+  for (std::size_t i = 0; i < kN; ++i) {
+    const Item& it = stream[i];
+    reqs[i].ctx = bctx[it.worker];
+    reqs[i].table = it.table;
+    reqs[i].key = it.key;
+    reqs[i].mode = it.mode;
+    seq[i] = sequential.Acquire(sctx[it.worker], it.table, it.key, it.mode,
+                                &policy);
+  }
+  batched.AcquireBatch(reqs, kN, &policy);
+  int waits = 0;
+  int deaths = 0;
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(reqs[i].result, seq[i]) << "request " << i;
+    waits += seq[i] == LockTable::AcquireResult::kWaiting;
+    deaths += seq[i] == LockTable::AcquireResult::kDie;
+  }
+  EXPECT_GT(waits, 0);
+  EXPECT_GT(deaths, 0);
+  // The stream's four keys all landed on re-keyed heads.
+  EXPECT_EQ(batched.lock_heads_in_use(), 4u);
+  EXPECT_EQ(sequential.lock_heads_in_use(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(batched.HeldCount(bctx[i]), sequential.HeldCount(sctx[i]));
+    batched.ReleaseAll(bctx[i]);
+    sequential.ReleaseAll(sctx[i]);
+  }
 }
 
 // --- wait-die decision rules (single-threaded: we inspect the immediate
@@ -258,6 +416,53 @@ TEST(LockTableNative, MutualExclusionUnderRealThreads) {
   }
   platform.Run();
   EXPECT_EQ(counter, 4ull * kIters);
+}
+
+TEST(LockTableNative, DrainedHeadReuseUnderRealThreads) {
+  // Four buckets, a thousand keys: every transaction X-locks one of four
+  // hot keys and then a cold key, so heads are re-keyed all the time while
+  // other threads queue on their neighbours in the same chains.
+  LockTable::Config config = SmallConfig();
+  config.num_buckets = 4;
+  LockTable table(config);
+  WorkerStats stats[4];
+  hal::NativePlatform platform(4);
+  WorkerLockCtx* ctx[4];
+  for (int i = 0; i < 4; ++i) ctx[i] = table.RegisterWorker(i, &stats[i]);
+  constexpr std::uint64_t kHot = 4;
+  constexpr std::uint64_t kKeys = 1000;
+  constexpr int kIters = 2000;
+  std::vector<std::uint64_t> counters(kKeys, 0);  // counters[k]: lock (1, k)
+  for (int i = 0; i < 4; ++i) {
+    platform.Spawn(i, [&, i] {
+      for (int round = 0; round < kIters; ++round) {
+        const std::uint64_t hot = static_cast<std::uint64_t>(round) % kHot;
+        const std::uint64_t cold =
+            kHot + (static_cast<std::uint64_t>(round) * 7919 +
+                    static_cast<std::uint64_t>(i) * 104729) %
+                       (kKeys - kHot);
+        for (std::uint64_t key : {hot, cold}) {  // ascending: no deadlock
+          auto r = table.Acquire(ctx[i], 1, key, LockMode::kExclusive,
+                                 nullptr);
+          if (r == LockTable::AcquireResult::kWaiting) {
+            ASSERT_TRUE(table.Wait(ctx[i], nullptr));
+          }
+          counters[key]++;
+        }
+        table.ReleaseAll(ctx[i]);
+      }
+    });
+  }
+  platform.Run();
+  std::uint64_t total = 0;
+  for (std::uint64_t c : counters) total += c;
+  EXPECT_EQ(total, 4ull * kIters * 2);
+  for (std::uint64_t k = 0; k < kHot; ++k) {
+    EXPECT_EQ(counters[k], 4ull * kIters / kHot);
+  }
+  // Each thread has requests queued on at most two keys at a time, so no
+  // chain ever needs more than eight heads.
+  EXPECT_LE(table.lock_heads_in_use(), 4u * 8u);
 }
 
 TEST(LockTableNative, WaitDieStressEventuallyAllCommit) {

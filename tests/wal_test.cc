@@ -38,6 +38,7 @@
 
 #include "common/fnv.h"
 #include "engine/deadlockfree/deadlockfree_engine.h"
+#include "engine/mvcc/mvcc_engine.h"
 #include "engine/orthrus/orthrus_engine.h"
 #include "engine/partitioned/partitioned_engine.h"
 #include "engine/sharedcc/sharedcc_engine.h"
@@ -513,6 +514,41 @@ TEST(WalNative, DurableRunRecoversOnNativeThreads) {
   EXPECT_EQ(rec.frames_dropped, 0u);
   EXPECT_EQ(rec.txns_replayed, kWorkers * kTxnsPerWorker);
   EXPECT_EQ(rwl.CanonicalDigest(rdb), wl.CanonicalDigest(db));
+}
+
+// MVCC with a WAL on real threads: a worker parked in the driver's WAL
+// waits (the admission gate, the final drain) must keep publishing its
+// epoch heartbeats, or a peer spinning on the reader floor in a version
+// install never finishes its transaction, never polls its producer, and
+// the parked worker's group commit never comes. Hot keys make those floor
+// spins frequent. The cap ends the run, so the recovered state must match
+// the live one exactly.
+TEST(WalNative, MvccDurableRunRecoversOnNativeThreads) {
+  workload::KvConfig kv;
+  kv.num_records = 4000;
+  kv.hot_records = 8;
+  workload::KvWorkload wl(kv);
+  storage::Database db;
+  wl.Load(&db, 1);
+  wal::GroupCommitLog log(wal::DurabilityOptions{}, &db, kWorkers);
+  engine::EngineOptions o = CappedOptions(kWorkers);
+  o.duration_seconds = 30.0;  // wall seconds; the cap ends the run first
+  o.max_txns_per_worker = 200;
+  o.wal = &log;
+  engine::MvccEngine eng(o);
+  hal::NativePlatform p(kWorkers + log.loggers());
+  const RunResult r = eng.Run(&p, &db, wl);
+  ASSERT_EQ(r.total.committed, kWorkers * o.max_txns_per_worker);
+  EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
+
+  workload::KvWorkload rwl(kv);
+  storage::Database rdb;
+  rwl.Load(&rdb, 1);
+  const wal::RecoveryResult rec =
+      wal::Recover(log.FinalImages(), kWorkers, &rdb);
+  EXPECT_EQ(rec.frames_dropped, 0u);
+  EXPECT_EQ(rec.txns_replayed, r.total.committed);
+  EXPECT_EQ(KvDigest(rdb), KvDigest(db));
 }
 
 TEST(WalNative, ElasticOrthrusDurableOnNativeThreads) {
