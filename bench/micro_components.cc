@@ -163,51 +163,6 @@ void BM_LockTableAcquireRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_LockTableAcquireRelease);
 
-// Scalar acquire loop vs AcquireBatch on a Zipf-skewed key stream: the
-// batch path's win is one bucket walk per same-key run (skew makes runs)
-// plus the prefetch sweep hiding bucket-miss latency on real hardware.
-// Shared mode so duplicate keys inside one batch grant instead of
-// self-conflicting. arg0: 0 = scalar, 1 = vectorized; arg1: batch size.
-void BM_LockTableBatch(benchmark::State& state) {
-  const bool vectorized = state.range(0) != 0;
-  const std::size_t batch = static_cast<std::size_t>(state.range(1));
-  lock::LockTable::Config cfg;
-  cfg.num_buckets = 1 << 12;
-  cfg.max_lock_heads = 1 << 16;
-  cfg.max_workers = 1;
-  lock::LockTable table(cfg);
-  WorkerStats stats;
-  lock::WorkerLockCtx* ctx = table.RegisterWorker(0, &stats);
-  Rng rng(42);
-  ZipfianGenerator zipf(1024, 0.9);
-  std::vector<lock::LockTable::BatchRequest> reqs(batch);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < batch; ++i) {
-      reqs[i].ctx = ctx;
-      reqs[i].table = 0;
-      reqs[i].key = zipf.Next(&rng);
-      reqs[i].mode = txn::LockMode::kShared;
-    }
-    if (vectorized) {
-      table.AcquireBatch(reqs.data(), batch, nullptr);
-    } else {
-      for (std::size_t i = 0; i < batch; ++i) {
-        reqs[i].result = table.Acquire(reqs[i].ctx, reqs[i].table,
-                                       reqs[i].key, reqs[i].mode, nullptr);
-      }
-    }
-    table.ReleaseAll(ctx);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_LockTableBatch)
-    ->Args({0, 16})
-    ->Args({1, 16})
-    ->Args({0, 64})
-    ->Args({1, 64})
-    ->ArgNames({"vectorized", "batch"});
-
 void BM_FiberSwitchPair(benchmark::State& state) {
   // Round-trip context switch cost: main -> fiber -> main.
   void* main_sp = nullptr;

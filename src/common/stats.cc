@@ -16,9 +16,6 @@ void WorkerStats::Merge(const WorkerStats& other) {
   send_stall_cycles += other.send_stall_cycles;
   wal_fragments += other.wal_fragments;
   wal_wait_cycles += other.wal_wait_cycles;
-  cc_batches += other.cc_batches;
-  cc_batch_msgs += other.cc_batch_msgs;
-  cc_key_runs_combined += other.cc_key_runs_combined;
   for (int i = 0; i < static_cast<int>(TimeCategory::kCount); ++i) {
     cycles[i] += other.cycles[i];
   }

@@ -35,13 +35,6 @@ struct WorkerStats {
   std::uint64_t send_stall_cycles = 0;  // cycles those sends busy-waited
   std::uint64_t wal_fragments = 0;  // redo-log fragments emitted (wal)
   std::uint64_t wal_wait_cycles = 0;  // cycles waiting on group commit
-  // Vectorized CC stage (OrthrusOptions::vectorized_cc): drained batches
-  // processed, messages across them (occupancy = msgs / batches), and
-  // same-key acquire runs served by a memoized lock lookup instead of a
-  // fresh bucket walk. All zero when the knob is off.
-  std::uint64_t cc_batches = 0;
-  std::uint64_t cc_batch_msgs = 0;
-  std::uint64_t cc_key_runs_combined = 0;
   std::uint64_t cycles[static_cast<int>(TimeCategory::kCount)] = {0, 0, 0};
   Histogram txn_latency;  // commit latency in cycles
 

@@ -22,7 +22,6 @@ namespace orthrus::engine {
 namespace {
 
 using txn::Access;
-using txn::Conflicts;
 using txn::LockMode;
 using txn::Txn;
 
@@ -33,29 +32,20 @@ static_assert(kMaxStages <= 64, "stage indexes ride in 6 message bits");
 // ------------------------------------------------------------- messages
 
 // A message is a pointer to a transaction control block with a small tag in
-// the low (alignment) bits — except kGrantCombined, which carries no
-// pointer at all: it packs up to kMaxCombinedGrants in-flight-window slot
-// ids (one byte each) plus a count, so several grants bound for the same
-// exec thread cost one message word.
+// the low (alignment) bits.
 //
 // kRelease additionally carries the index of the stage being released in
 // bits [3, 9): with a remappable lock space one CC thread can own several
 // of a transaction's stages, so "release my stage" is no longer
 // self-describing. TCBs are 512-byte aligned to free those bits.
 enum MsgTag : std::uint64_t {
-  kAcquire = 0,        // exec->CC or CC->CC: acquire locks for cur_stage
-  kRelease = 1,        // exec->CC: release one stage's locks of tcb
-  kGrant = 2,          // CC->exec: all stages granted, execute
-  kStageDone = 3,      // CC->exec (non-forwarding mode): one stage granted
-  kAck = 4,            // CC->exec: release processed
-  kGrantCombined = 5,  // CC->exec: packed slot-id grants (vectorized_cc)
+  kAcquire = 0,    // exec->CC or CC->CC: acquire locks for cur_stage
+  kRelease = 1,    // exec->CC: release one stage's locks of tcb
+  kGrant = 2,      // CC->exec: all stages granted, execute
+  kStageDone = 3,  // CC->exec (non-forwarding mode): one stage granted
+  kAck = 4,        // CC->exec: release processed
   kTagMask = 7,
 };
-
-// kGrantCombined word layout: bits [0,3) tag, bits [3,7) slot count
-// (1..kMaxCombinedGrants), byte i+1 the i-th slot id. Slot ids are
-// in-flight-window indexes, so vectorized_cc requires max_inflight <= 256.
-constexpr int kMaxCombinedGrants = 7;
 
 // TCB alignment: 3 tag bits + 6 stage-index bits (kMaxStages <= 64).
 constexpr std::uint64_t kTcbAlign = 512;
@@ -89,25 +79,6 @@ int DecodeStage(std::uint64_t w) {
   return static_cast<int>((w >> kStageShift) & kStageFieldMask);
 }
 
-std::uint64_t EncodeCombinedGrant(const std::uint8_t* slots, int count) {
-  ORTHRUS_DCHECK(count >= 1 && count <= kMaxCombinedGrants);
-  std::uint64_t w =
-      kGrantCombined | (static_cast<std::uint64_t>(count) << 3);
-  for (int i = 0; i < count; ++i) {
-    w |= static_cast<std::uint64_t>(slots[i]) << (8 * (i + 1));
-  }
-  return w;
-}
-
-int DecodeCombinedCount(std::uint64_t w) {
-  return static_cast<int>((w >> 3) & 0xF);
-}
-
-int DecodeCombinedSlot(std::uint64_t w, int i) {
-  return static_cast<int>((w >> (8 * (i + 1))) & 0xFF);
-}
-
-struct Tcb;
 struct ScLock;
 struct CcRequest;
 
@@ -225,16 +196,6 @@ class CcLockTable {
     r->prev = nullptr;
     r->next = free_;
     free_ = r;
-  }
-
-  // Batch-prefetch hint for (table, key): the slot word, then — when the
-  // lock already exists — the lock object behind it (two-level group
-  // prefetch). Read-only and cost-free: a pure hardware hint, so sweeping
-  // a whole batch of these ahead of processing is always safe.
-  void PrefetchFor(std::uint32_t table, std::uint64_t key) const {
-    const std::size_t pos = Hash(table, key) & (slots_.size() - 1);
-    hal::Prefetch(&slots_[pos]);
-    if (slots_[pos] != nullptr) hal::Prefetch(slots_[pos]);
   }
 
   std::size_t used() const { return used_; }
@@ -413,8 +374,17 @@ class SharedCcTable {
 
   ScLock* FindOrCreate(Bucket* b, std::uint32_t table, std::uint64_t key)
       ORTHRUS_REQUIRES(b->latch) {
+    ScLock* drained = nullptr;
     for (ScLock* l = b->chain; l != nullptr; l = l->next_in_bucket) {
       if (l->key == key && l->table == table) return l;
+      if (drained == nullptr && l->queued_total == 0) drained = l;
+    }
+    if (drained != nullptr) {
+      // Reuse a drained lock (lock::LockTable's rule): no request is queued
+      // on it, so no live request names it, and it stays on this chain.
+      drained->table = table;
+      drained->key = key;
+      return drained;
     }
     const int me = hal::CoreId();
     ORTHRUS_CHECK_MSG(shard_next_[me] < shard_end_[me],
@@ -482,15 +452,6 @@ struct Shared {
   bool forwarding = true;
   bool elastic = false;
   hal::Cycles cc_op_cycles = 20;
-  // Vectorized CC stage (see OrthrusOptions::vectorized_cc): flat-batch
-  // drain, prefetch sweep, same-key run combining, once-per-batch grant
-  // flush as packed slot-id grant words.
-  bool vectorized_cc = false;
-  std::size_t cc_batch = 256;
-  bool cc_prefetch = true;
-  bool cc_combine = true;
-  hal::Cycles cc_prefetched_op_cycles = 6;
-  hal::Cycles cc_run_op_cycles = 3;
 
   // Snapshot read path (OrthrusOptions::snapshot_reads): classified
   // read-only transactions execute lock-free against the epoch-versioned
@@ -562,13 +523,6 @@ class CcThread {
         controller_(controller),
         controller2d_(controller2d),
         epoch_cycles_(epoch_cycles) {
-    if (shared->vectorized_cc) {
-      // vectorized_cc stages its grants per exec thread as slot ids.
-      grant_stash_.resize(static_cast<std::size_t>(shared->n_exec));
-      // Setup-time sizing: the flat drain buffer never grows on the hot
-      // path (DrainInto stops at its capacity; the remainder stays queued).
-      batch_buf_.resize(shared->cc_batch);
-    }
     if (shared->elastic_cc) {
       // lint:allow-alloc setup
       router_ = std::make_unique<Router>(shared->space, cc_id);
@@ -592,12 +546,10 @@ class CcThread {
         MaybeRemap();
         may_park = ParkBarrierHolds();
       }
-      const bool progress =
-          shared_->vectorized_cc ? DrainVectorized() : DrainOnce();
+      const bool progress = DrainOnce();
       // End of the scheduling quantum: grants, forwards, and acks staged
       // while handling this quantum's messages go out before we either
       // loop or idle — a staged message must never wait on an idle sender.
-      FlushCombinedGrants();
       out_cc_.FlushAll();
       out_exec_.FlushAll();
       if (controller_ != nullptr || controller2d_ != nullptr) {
@@ -611,8 +563,6 @@ class CcThread {
         ORTHRUS_CHECK_MSG(held_ == 0, "CC exiting with locks held");
         ORTHRUS_CHECK_MSG(out_cc_.Pending() == 0 && out_exec_.Pending() == 0,
                           "CC exiting with staged messages");
-        ORTHRUS_CHECK_MSG(StashedGrants() == 0,
-                          "CC exiting with stashed grants");
         break;
       }
       if (may_park) {
@@ -648,151 +598,6 @@ class CcThread {
       n += shared_->cc_to_cc.Drain(cc_id_, handle);
     }
     return n != 0;
-  }
-
-  // --- vectorized CC stage (vectorized_cc) -----------------------------
-
-  // Batch-shaped counterpart of DrainOnce: gathers up to cc_batch messages
-  // into the flat buffer (same mesh visit order and per-sender FIFO as the
-  // scalar drain; anything past the cap stays queued for the next quantum)
-  // and processes the span as a unit.
-  bool DrainVectorized() {
-    std::uint64_t* buf = batch_buf_.data();
-    const std::size_t cap = batch_buf_.size();
-    std::size_t n = shared_->elastic
-                        ? shared_->exec_to_cc_multi.DrainInto(cc_id_, buf, cap)
-                        : shared_->exec_to_cc.DrainInto(cc_id_, buf, cap);
-    if (shared_->forwarding || shared_->elastic_cc) {
-      n += shared_->cc_to_cc.DrainInto(cc_id_, buf + n, cap - n);
-    }
-    if (n != 0) ProcessBatch(n);
-    return n != 0;
-  }
-
-  // The gather -> prefetch -> process -> scatter pipeline over one drained
-  // span. Messages are handled in exactly the order the scalar drain would
-  // have delivered them — the batch view changes how the work is done (one
-  // prefetch sweep, memoized same-key lookups, one deferred grant sweep
-  // per release run), never what is decided.
-  void ProcessBatch(std::size_t n) {
-    stats_->cc_batches++;
-    stats_->cc_batch_msgs += n;
-    // Single-owner staging: only this CC thread ever touches its batch
-    // buffer; the tag documents (and, under race_detect, verifies) that.
-    hal::RaceCheck(batch_buf_.data(), n * sizeof(std::uint64_t),
-                   /*is_write=*/true, "orthrus.cc.batch_buf");
-    if (shared_->cc_prefetch) {
-      const hal::Cycles t0 = hal::Now();
-      PrefetchSweepPass(n);
-      stats_->Add(TimeCategory::kLocking, hal::Now() - t0);
-    }
-    in_batch_ = true;
-    ResetMemo();
-    for (std::size_t i = 0; i < n; ++i) Handle(batch_buf_[i]);
-    FlushGrantSweep();
-    in_batch_ = false;
-    ResetMemo();
-  }
-
-  // Pass one: walk the batch issuing prefetch hints for every request's
-  // TCB, lock bucket, and (for releases) queued request nodes, then charge
-  // the sweep's overlapped fill window once. Hints only — nothing is
-  // decided here, and under elastic_cc only shards this thread currently
-  // owns (raw-load check; eventual visibility suffices for a hint) are
-  // touched, so no foreign table is ever read mid-mutation.
-  void PrefetchSweepPass(std::size_t n) {
-    std::size_t lines = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t w = batch_buf_[i];
-      Tcb* tcb = DecodeTcb(w);
-      hal::Prefetch(tcb);
-      lines++;
-      const MsgTag tag = DecodeTag(w);
-      if (tag == kAcquire) {
-        const Stage& stage = tcb->stages[tcb->cur_stage];
-        const CcLockTable* locks = TableForPrefetch(stage.part);
-        if (locks == nullptr) continue;
-        for (std::uint16_t a = stage.begin; a < stage.end; ++a) {
-          const Access& acc = tcb->txn.accesses[a];
-          locks->PrefetchFor(acc.table, acc.key);
-          lines += 2;
-        }
-      } else if (tag == kRelease) {
-        const Stage* stage = StageForRelease(tcb, w);
-        if (stage == nullptr) continue;
-        for (std::uint16_t a = stage->begin; a < stage->end; ++a) {
-          CcRequest* r = tcb->reqs[a];
-          if (r != nullptr) {
-            hal::Prefetch(r);
-            lines++;
-          }
-        }
-      }
-    }
-    hal::PrefetchSweep(lines);
-  }
-
-  // Lock table whose buckets pass one may hint for partition `part`, or
-  // null when this thread does not currently own it (the message will be
-  // re-routed by Handle anyway).
-  const CcLockTable* TableForPrefetch(int part) const {
-    if (!shared_->elastic_cc) return &locks_;
-    if (shared_->space->ShardOwnerRaw(part) !=
-        static_cast<std::uint64_t>(cc_id_)) {
-      return nullptr;
-    }
-    return &shared_->space->shard(part)->locks;
-  }
-
-  // The stage a kRelease message addresses: explicit in the message under
-  // elastic_cc, this thread's (unique) stage otherwise.
-  const Stage* StageForRelease(Tcb* tcb, std::uint64_t w) const {
-    if (shared_->elastic_cc) {
-      const Stage& stage = tcb->stages[DecodeStage(w)];
-      return shared_->space->ShardOwnerRaw(stage.part) ==
-                     static_cast<std::uint64_t>(cc_id_)
-                 ? &stage
-                 : nullptr;
-    }
-    for (int s = 0; s < tcb->n_stages; ++s) {
-      if (tcb->stages[s].part == cc_id_) return &tcb->stages[s];
-    }
-    return nullptr;
-  }
-
-  // Same-key memo (cc_combine): the last (table, key) resolved this batch
-  // and the lock it mapped to. A hit must match the exact table instance
-  // plus (table, key) — then staleness is impossible to get wrong: CcLock
-  // objects are pool-allocated (never freed or moved) and FindOrCreate is
-  // deterministic, so whatever the memo remembers is still the answer.
-  void ResetMemo() {
-    memo_locks_ = nullptr;
-    last_lock_ = nullptr;
-    last_table_ = 0;
-    last_key_ = 0;
-  }
-
-  void SetMemo(CcLockTable* locks, std::uint32_t table, std::uint64_t key,
-               CcLock* lock) {
-    memo_locks_ = locks;
-    last_table_ = table;
-    last_key_ = key;
-    last_lock_ = lock;
-  }
-
-  // Flushes the deferred release grant sweep (cc_combine): one
-  // GrantFollowers pass serves a whole same-lock release run. Grants are
-  // monotone in unlinks — nothing between the deferral and the flush can
-  // make a grantable follower ungrantable — so one final sweep grants
-  // exactly what incremental sweeps would have. The pending pointer is
-  // cleared *before* the sweep: GrantFollowers can advance a transaction
-  // into AcquireStage on this same thread (elastic_cc local continue),
-  // which may legally re-enter the deferral machinery.
-  void FlushGrantSweep() {
-    CcLock* lock = grant_pending_;
-    if (lock == nullptr) return;
-    grant_pending_ = nullptr;
-    GrantFollowers(lock);
   }
 
   // --- elastic_cc: epoch handoff, retire, resume -----------------------
@@ -859,8 +664,7 @@ class CcThread {
   }
 
   void ParkCc() {
-    ORTHRUS_CHECK_MSG(out_cc_.Pending() == 0 && out_exec_.Pending() == 0 &&
-                          StashedGrants() == 0,
+    ORTHRUS_CHECK_MSG(out_cc_.Pending() == 0 && out_exec_.Pending() == 0,
                       "CC parking with staged messages");
     router_->Deactivate();
     // The park predicate also watches the shard owner words: if the
@@ -960,33 +764,6 @@ class CcThread {
     }
   }
 
-  // --- combined grant words (vectorized_cc) -----------------------------
-
-  std::size_t StashedGrants() const {
-    std::size_t n = 0;
-    for (const auto& s : grant_stash_) n += s.size();
-    return n;
-  }
-
-  // Packs each exec thread's stashed grant slots into words of up to
-  // kMaxCombinedGrants and stages them for the quantum flush.
-  void FlushCombinedGrants() {
-    if (!shared_->vectorized_cc) return;
-    for (int e = 0; e < shared_->n_exec; ++e) {
-      std::vector<std::uint8_t>& stash =
-          grant_stash_[static_cast<std::size_t>(e)];
-      std::size_t i = 0;
-      while (i < stash.size()) {
-        const int count = static_cast<int>(
-            std::min<std::size_t>(kMaxCombinedGrants, stash.size() - i));
-        out_exec_.Send(e, EncodeCombinedGrant(&stash[i], count));
-        stats_->messages_sent++;
-        i += static_cast<std::size_t>(count);
-      }
-      stash.clear();
-    }
-  }
-
   void Handle(std::uint64_t word) {
     const hal::Cycles t0 = hal::Now();
     Tcb* tcb = DecodeTcb(word);
@@ -1055,29 +832,8 @@ class CcThread {
     std::uint32_t pending = 0;
     for (std::uint16_t i = stage.begin; i < stage.end; ++i) {
       const Access& a = tcb->txn.accesses[i];
-      CcLock* lock;
-      if (!in_batch_) {
-        // Scalar path: untouched — one full-cost lookup per request.
-        hal::ConsumeCycles(shared_->cc_op_cycles);
-        lock = locks.FindOrCreate(a.table, a.key);
-      } else if (shared_->cc_combine && memo_locks_ == &locks &&
-                 last_table_ == a.table && last_key_ == a.key) {
-        // Same-key run: reuse the memoized lock — no hash, no probe walk.
-        hal::ConsumeCycles(shared_->cc_run_op_cycles);
-        lock = last_lock_;
-        stats_->cc_key_runs_combined++;
-      } else {
-        // Batch mode: the pass-one sweep (when on) already pulled the
-        // bucket and lock lines in, leaving only the resident walk.
-        hal::ConsumeCycles(shared_->cc_prefetch
-                               ? shared_->cc_prefetched_op_cycles
-                               : shared_->cc_op_cycles);
-        lock = locks.FindOrCreate(a.table, a.key);
-      }
-      // A deferred release sweep on this same lock must grant before we
-      // enqueue behind it — the sweep must see the queue state the
-      // releases left, not one with our request appended.
-      if (lock == grant_pending_) FlushGrantSweep();
+      hal::ConsumeCycles(shared_->cc_op_cycles);
+      CcLock* lock = locks.FindOrCreate(a.table, a.key);
       CcRequest* r = locks.AllocRequest();
       r->tcb = tcb;
       r->lock = lock;
@@ -1106,9 +862,6 @@ class CcThread {
         shard->held++;
       } else {
         held_++;
-      }
-      if (in_batch_ && shared_->cc_combine) {
-        SetMemo(&locks, a.table, a.key, lock);
       }
     }
     if (pending != 0) {
@@ -1178,49 +931,14 @@ class CcThread {
     for (std::uint16_t i = stage.begin; i < stage.end; ++i) {
       CcRequest* r = tcb->reqs[i];
       ORTHRUS_DCHECK(r != nullptr && r->lock != nullptr);
-      CcLock* lock = r->lock;
-      if (!in_batch_) {
-        // Scalar path: untouched — unlink, sweep, recycle, per request.
-        hal::ConsumeCycles(shared_->cc_op_cycles);
-        Unlink(r);
-        GrantFollowers(lock);
-      } else if (shared_->cc_combine) {
-        // Batched release: defer the grant sweep so one GrantFollowers
-        // pass serves a whole same-lock run. A different lock's deferred
-        // sweep flushes first — at most one lock is ever pending.
-        if (lock == last_lock_ && memo_locks_ == &locks) {
-          hal::ConsumeCycles(shared_->cc_run_op_cycles);
-          stats_->cc_key_runs_combined++;
-        } else {
-          hal::ConsumeCycles(shared_->cc_prefetch
-                                 ? shared_->cc_prefetched_op_cycles
-                                 : shared_->cc_op_cycles);
-        }
-        Unlink(r);
-        if (grant_pending_ != nullptr && grant_pending_ != lock) {
-          FlushGrantSweep();
-        }
-        grant_pending_ = lock;
-        SetMemo(&locks, lock->table, lock->key, lock);
-      } else {
-        hal::ConsumeCycles(shared_->cc_prefetch
-                               ? shared_->cc_prefetched_op_cycles
-                               : shared_->cc_op_cycles);
-        Unlink(r);
-        GrantFollowers(lock);
-      }
+      hal::ConsumeCycles(shared_->cc_op_cycles);
+      Unlink(r);
+      GrantFollowers(r->lock);
       locks.FreeRequest(r);
       tcb->reqs[i] = nullptr;
       ORTHRUS_DCHECK(held > 0);
       held--;
     }
-  }
-
-  [[maybe_unused]] static bool NoConflictAhead(const CcRequest* r) {
-    for (const CcRequest* p = r->prev; p != nullptr; p = p->prev) {
-      if (Conflicts(r->mode, p->mode)) return false;
-    }
-    return true;
   }
 
   static void Unlink(CcRequest* r) {
@@ -1261,15 +979,6 @@ class CcThread {
   }
 
   void SendGrant(Tcb* tcb) {
-    if (shared_->vectorized_cc) {
-      // Stash the grant as a slot id; FlushCombinedGrants packs this exec
-      // thread's quantum of grants into words at quantum end. This is the
-      // vectorized stage's single-pass grant flush: grants produced while
-      // processing a batch accumulate here and publish once.
-      grant_stash_[static_cast<std::size_t>(tcb->exec_id)].push_back(
-          static_cast<std::uint8_t>(tcb->slot));
-      return;
-    }
     out_exec_.Send(tcb->exec_id, Encode(tcb, kGrant));
     stats_->messages_sent++;
   }
@@ -1328,22 +1037,8 @@ class CcThread {
   hal::Cycles next_epoch_ = 0;
   hal::Cycles last_epoch_now_ = 0;
   std::uint64_t last_epoch_committed_ = 0;
-  // Per-exec-thread grant stash (vectorized_cc only), cleared every
-  // quantum by FlushCombinedGrants.
-  std::vector<std::vector<std::uint8_t>> grant_stash_;
   std::uint64_t held_ = 0;
   std::vector<Tcb*> runnable_;  // scratch for shared-mode release grants
-  // --- vectorized CC state (vectorized_cc; all inert otherwise) --------
-  // Flat drain buffer (ctor-sized, single owner), the in-batch flag that
-  // gates every vectorized branch so the scalar path stays byte-identical,
-  // the same-key memo, and the lock whose release grant sweep is deferred.
-  std::vector<std::uint64_t> batch_buf_;
-  bool in_batch_ = false;
-  CcLockTable* memo_locks_ = nullptr;
-  CcLock* last_lock_ = nullptr;
-  std::uint32_t last_table_ = 0;
-  std::uint64_t last_key_ = 0;
-  CcLock* grant_pending_ = nullptr;
 };
 
 // ----------------------------------------------------------- exec thread
@@ -1604,13 +1299,6 @@ class ExecThread {
           switch (DecodeTag(w)) {
             case kGrant:
               Execute(DecodeTcb(w));
-              break;
-            case kGrantCombined:
-              // Packed slot ids: every listed in-flight window slot has
-              // its full lock set granted.
-              for (int i = 0; i < DecodeCombinedCount(w); ++i) {
-                Execute(tcbs_[DecodeCombinedSlot(w, i)].get());
-              }
               break;
             case kStageDone: {
               // Non-forwarding mode: we mediate the next hop ourselves.
@@ -1958,16 +1646,6 @@ OrthrusEngine::OrthrusEngine(EngineOptions options, OrthrusOptions orthrus)
   if (orthrus_.backpressure_admission) {
     ORTHRUS_CHECK(orthrus_.backpressure_epoch_seconds > 0);
   }
-  if (orthrus_.vectorized_cc) {
-    // Grant staging packs in-flight window slots one byte each (the
-    // kGrantCombined word encoding).
-    ORTHRUS_CHECK_MSG(orthrus_.max_inflight <= 256,
-                      "vectorized_cc needs max_inflight <= 256");
-    ORTHRUS_CHECK_MSG(!orthrus_.shared_cc_table,
-                      "the shared CC table's loop is not message-shaped; "
-                      "vectorized_cc batches the partitioned drain");
-    ORTHRUS_CHECK(orthrus_.cc_batch >= 1);
-  }
 }
 
 std::string OrthrusEngine::name() const {
@@ -1977,7 +1655,6 @@ std::string OrthrusEngine::name() const {
   if (orthrus_.elastic) n += "-elastic";
   if (orthrus_.elastic_cc) n += "cc";
   if (orthrus_.backpressure_admission) n += "-bp";
-  if (orthrus_.vectorized_cc) n += "-veccc";
   if (orthrus_.snapshot_reads) n += "-snap";
   return n;
 }
@@ -2058,12 +1735,6 @@ RunResult OrthrusEngine::Run(hal::Platform* platform, storage::Database* db,
   shared.elastic_cc = orthrus_.elastic_cc;
   shared.n_parts = n_parts;
   shared.cc_op_cycles = orthrus_.cc_op_cycles;
-  shared.vectorized_cc = orthrus_.vectorized_cc;
-  shared.cc_batch = static_cast<std::size_t>(orthrus_.cc_batch);
-  shared.cc_prefetch = orthrus_.cc_prefetch;
-  shared.cc_combine = orthrus_.cc_combine;
-  shared.cc_prefetched_op_cycles = orthrus_.cc_prefetched_op_cycles;
-  shared.cc_run_op_cycles = orthrus_.cc_run_op_cycles;
   shared.snapshot_reads = orthrus_.snapshot_reads;
   if (orthrus_.snapshot_reads) {
     // Version pairs + epoch clock, (re)seeded from the current main slabs

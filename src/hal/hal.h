@@ -159,15 +159,6 @@ class Platform {
     (void)is_write;
     (void)label;
   }
-
-  // Declares that the current core just issued a prefetch sweep covering
-  // `lines` cache lines (see hal::PrefetchSweep). The simulator charges one
-  // batched fill window — the overlapped line transfers pay roughly a
-  // single memory-latency cost instead of `lines` serial misses, which is
-  // the whole point of sweeping prefetches ahead of a batch. The default
-  // (and the native platform, where the real prefetch instructions already
-  // ran) is a no-op. Not a scheduling point.
-  virtual void OnPrefetchSweep(std::size_t lines) { (void)lines; }
 };
 
 // ---------------------------------------------------------------------
@@ -201,26 +192,20 @@ inline int CoreId() {
   return cc != nullptr ? cc->core_id : -1;
 }
 
-// Hints the hardware to pull `addr`'s line toward the calling core. A pure
-// hardware hint: no modeled cost, no scheduling point, no side effect under
-// simulation — the sim charges prefetch benefit per *sweep* (below), not
-// per line, so a stray Prefetch can never perturb a modeled clock.
-inline void Prefetch(const void* addr) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(addr);
-#else
-  (void)addr;
-#endif
+// Relaxed atomic load / store of a plain word that one thread reads with
+// no lock held while others write it under a lock: OLLP reconnaissance
+// reading a row or ring field that locked writers update. The reader may
+// see a stale value and validates it under locks later; the atomic access
+// only keeps the unlocked read from being a data race. Not modeled: no
+// coherence charge, no scheduling point, no race-detector edge.
+template <typename T>
+inline T RelaxedLoad(const T* addr) {
+  return __atomic_load_n(addr, __ATOMIC_RELAXED);
 }
 
-// Declares that the calling core just swept `lines` prefetches ahead of a
-// batch it is about to process (no-op off-core and when lines == 0). Under
-// simulation this charges the batched fill window once — see
-// Platform::OnPrefetchSweep; on the native platform the Prefetch calls
-// themselves did the work.
-inline void PrefetchSweep(std::size_t lines) {
-  CoreContext* cc = CurrentCore();
-  if (cc != nullptr && lines != 0) cc->platform->OnPrefetchSweep(lines);
+template <typename T>
+inline void RelaxedStore(T* addr, T v) {
+  __atomic_store_n(addr, v, __ATOMIC_RELAXED);
 }
 
 // Declares a plain access to cross-core payload memory — record rows under

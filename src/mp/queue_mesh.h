@@ -17,7 +17,6 @@
 #ifndef ORTHRUS_MP_QUEUE_MESH_H_
 #define ORTHRUS_MP_QUEUE_MESH_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -111,33 +110,6 @@ class QueueMesh {
       }
     }
     return delivered;
-  }
-
-  // Drain-to-batch view: pops everything addressed to `receiver` directly
-  // into the caller's flat buffer instead of invoking a per-message
-  // callback, visiting senders in exactly the order Drain would, and
-  // stopping once `max_out` messages have been gathered — the remainder
-  // stays queued for the next call. Returns the number of messages written
-  // to `out`. This is the CC stage's vectorized intake: the receiver gets
-  // one contiguous span it can sweep with prefetches and process as a unit
-  // (gather -> prefetch -> process -> scatter) rather than a message at a
-  // time.
-  std::size_t DrainInto(int receiver, T* out, std::size_t max_out,
-                        std::size_t max_batch = kDefaultBatch) {
-    ORTHRUS_DCHECK(max_batch >= 1);
-    std::size_t batch = max_batch < kDefaultBatch ? max_batch : kDefaultBatch;
-    if (batch == 0) batch = 1;
-    std::size_t filled = 0;
-    for (int s = 0; s < senders_; ++s) {
-      SpscQueue<T>& q = at(s, receiver);
-      std::size_t n;
-      while (filled < max_out &&
-             (n = q.PopBatch(out + filled,
-                             std::min(batch, max_out - filled))) != 0) {
-        filled += n;
-      }
-    }
-    return filled;
   }
 
   // Unmodeled aggregate occupancy, for teardown assertions.

@@ -79,8 +79,11 @@ class NewOrderLogic final : public txn::TxnLogic {
     ctx.ChargeOp(ctx.db->GetTable(kDistrict)->RowAccessCost() + row_op);
     ctx.ChargeOp(ctx.db->GetTable(kCustomer)->RowAccessCost() + row_op);
 
-    // Allocate the order id under the district X lock.
-    const std::uint32_t o_id = dr->next_o_id++;
+    // Allocate the order id under the district X lock. Delivery and
+    // StockLevel reconnaissance read the cursor and the ring fields below
+    // without a lock, hence the relaxed stores.
+    const std::uint32_t o_id = dr->next_o_id;
+    hal::RelaxedStore(&dr->next_o_id, o_id + 1);
     const int ring = aux_->DistrictIndex(p->w, p->d);
     const int cap = aux_->scale.order_ring_capacity;
     const int slot = static_cast<int>(o_id % static_cast<std::uint32_t>(cap));
@@ -122,7 +125,7 @@ class NewOrderLogic final : public txn::TxnLogic {
                                       aux_->scale.max_items_per_order +
                                   j];
       hal::RaceCheck(&ol, sizeof(ol), /*is_write=*/true, "tpcc.orderline_ring");
-      ol.i_id = static_cast<std::uint32_t>(p->item_id[j]);
+      hal::RelaxedStore(&ol.i_id, static_cast<std::uint32_t>(p->item_id[j]));
       ol.supply_w = static_cast<std::uint32_t>(p->supply_w[j]);
       ol.quantity = qty;
       ol.amount_cents = static_cast<std::uint32_t>(amount);
@@ -135,8 +138,8 @@ class NewOrderLogic final : public txn::TxnLogic {
     hal::RaceCheck(&order, sizeof(order), /*is_write=*/true,
                    "tpcc.order_ring");
     order.o_id = o_id;
-    order.c_id = static_cast<std::uint32_t>(p->c);
-    order.ol_cnt = static_cast<std::uint32_t>(p->ol_cnt);
+    hal::RelaxedStore(&order.c_id, static_cast<std::uint32_t>(p->c));
+    hal::RelaxedStore(&order.ol_cnt, static_cast<std::uint32_t>(p->ol_cnt));
     order.all_local = all_local;
     order.total_cents = total;
     ctx.ChargeOp(2 * row_op);  // order + new-order inserts
@@ -303,7 +306,9 @@ class OrderStatusLogic final : public txn::TxnLogic {
         break;
       }
     }
-    sink_ = sink;
+    // Keep the reads observable without a store: one logic instance serves
+    // every worker, so a shared member would be a data race.
+    asm volatile("" : : "r"(sink));
 
     TpccTallies::Tally& tally = aux_->tallies.per_core[hal::CoreId() & 127];
     tally.order_statuses++;
@@ -312,7 +317,6 @@ class OrderStatusLogic final : public txn::TxnLogic {
 
  private:
   TpccAux* aux_;
-  std::uint64_t sink_ = 0;
 };
 
 // Delivery (extension): processes the oldest undelivered order of each of
@@ -336,11 +340,13 @@ class DeliveryLogic final : public txn::TxnLogic {
   // depend on the commit interleaving. That cap is what keeps the
   // delivered order multiset load-deterministic for *any* number of
   // committed Deliveries, not only runs that stop short of the backlog.
+  // Reconnaissance calls it with no lock held, hence the relaxed load.
   std::uint32_t DeliverableEnd(const DistrictRow& dr) const {
-    if (aux_->scale.seeded_orders <= 0) return dr.next_o_id;
+    const std::uint32_t next = hal::RelaxedLoad(&dr.next_o_id);
+    if (aux_->scale.seeded_orders <= 0) return next;
     const std::uint32_t frontier =
         1 + static_cast<std::uint32_t>(aux_->scale.seeded_orders);
-    return std::min(dr.next_o_id, frontier);
+    return std::min(next, frontier);
   }
 
   void BuildAccessSet(txn::Txn* t, storage::Database* db) override {
@@ -354,12 +360,13 @@ class DeliveryLogic final : public txn::TxnLogic {
       const auto* dr = static_cast<const DistrictRow*>(
           db->GetTable(kDistrict)->LookupRaw(DistrictKey(p->w, d)));
       ORTHRUS_DCHECK(dr != nullptr);
-      p->observed_cursor[d] = dr->delivered_o_id;
-      if (dr->delivered_o_id < DeliverableEnd(*dr)) {
+      const std::uint32_t cursor = hal::RelaxedLoad(&dr->delivered_o_id);
+      p->observed_cursor[d] = cursor;
+      if (cursor < DeliverableEnd(*dr)) {
         const int ring = aux_->DistrictIndex(p->w, d);
-        const OrderRec& o = aux_->orders[ring][dr->delivered_o_id % cap];
-        p->customer_key[d] = CustomerKey(p->w, d,
-                                         static_cast<int>(o.c_id));
+        const OrderRec& o = aux_->orders[ring][cursor % cap];
+        p->customer_key[d] = CustomerKey(
+            p->w, d, static_cast<int>(hal::RelaxedLoad(&o.c_id)));
         t->accesses.push_back({kCustomer, txn::LockMode::kExclusive,
                                p->customer_key[d], nullptr});
       } else {
@@ -411,7 +418,7 @@ class DeliveryLogic final : public txn::TxnLogic {
       ORTHRUS_DCHECK(cr != nullptr);
       ctx.ChargeOp(ctx.db->GetTable(kCustomer)->RowAccessCost() + row_op);
       cr->balance_cents += static_cast<std::int64_t>(o.total_cents);
-      dr->delivered_o_id++;
+      hal::RelaxedStore(&dr->delivered_o_id, dr->delivered_o_id + 1);
       tally.orders_delivered++;
       tally.delivered_cents += o.total_cents;
     }
@@ -439,10 +446,12 @@ class StockLevelLogic final : public txn::TxnLogic {
     const auto* dr = static_cast<const DistrictRow*>(
         db->GetTable(kDistrict)->LookupRaw(DistrictKey(p->w, p->d)));
     ORTHRUS_DCHECK(dr != nullptr);
-    p->observed_next_o_id = dr->next_o_id;
+    // Unlocked reconnaissance: the cursor and the ring fields NewOrder
+    // writes are read with relaxed loads; Run validates the cursor.
+    const std::uint32_t newest = hal::RelaxedLoad(&dr->next_o_id);
+    p->observed_next_o_id = newest;
     p->n_items = 0;
     const int ring = aux_->DistrictIndex(p->w, p->d);
-    const std::uint32_t newest = dr->next_o_id;
     const std::uint32_t scan = std::min<std::uint32_t>(
         newest - 1,
         static_cast<std::uint32_t>(aux_->scale.stock_level_orders));
@@ -450,17 +459,18 @@ class StockLevelLogic final : public txn::TxnLogic {
       const std::uint32_t o_id = newest - back;
       const OrderRec& o = aux_->orders[ring][o_id % cap];
       const std::uint32_t lines =
-          std::min<std::uint32_t>(o.ol_cnt, aux_->scale.max_items_per_order);
+          std::min<std::uint32_t>(hal::RelaxedLoad(&o.ol_cnt),
+                                  aux_->scale.max_items_per_order);
       for (std::uint32_t j = 0; j < lines && p->n_items < 32; ++j) {
         const OrderLineRec& ol =
             aux_->order_lines[ring][static_cast<std::size_t>(o_id % cap) *
                                         aux_->scale.max_items_per_order +
                                     j];
+        const auto item =
+            static_cast<std::int32_t>(hal::RelaxedLoad(&ol.i_id));
         bool fresh = true;
-        for (int m = 0; m < p->n_items; ++m) {
-          fresh &= (p->items[m] != static_cast<std::int32_t>(ol.i_id));
-        }
-        if (fresh) p->items[p->n_items++] = static_cast<std::int32_t>(ol.i_id);
+        for (int m = 0; m < p->n_items; ++m) fresh &= (p->items[m] != item);
+        if (fresh) p->items[p->n_items++] = item;
       }
     }
     t->accesses.push_back({kDistrict, txn::LockMode::kShared,

@@ -166,8 +166,8 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
                           RunOne(&eng, &plain, kExecWorkers, kExecWorkers));
   }
   // ORTHRUS variants: every message-passing configuration (forwarding
-  // on/off, shared CC table, vectorized CC stage, snapshot reads) must
-  // agree with the shared-everything engines. Every case runs with
+  // on/off, shared CC table, snapshot reads) must agree with the
+  // shared-everything engines. Every case runs with
   // elastic=false and elastic_cc=false (the OrthrusOptions defaults), so
   // this whole list is the pin that the elastic-roles and
   // lock-space-routing refactors left the static-mesh path producing the
@@ -178,17 +178,15 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
   struct OrthrusCase {
     bool forwarding;
     bool shared_cc = false;
-    bool vectorized_cc = false;
     bool snapshot_reads = false;
   };
   for (const OrthrusCase& c :
        {OrthrusCase{true}, OrthrusCase{false},
         OrthrusCase{true, /*shared_cc=*/true},
-        OrthrusCase{true, false, /*vectorized_cc=*/true},
         // snapshot_reads over pure RMW: every transaction still runs the
         // lock path, but versions install and the epoch clock ticks —
         // neither may change what commits.
-        OrthrusCase{true, false, false, /*snapshot_reads=*/true}}) {
+        OrthrusCase{true, false, /*snapshot_reads=*/true}}) {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     // One transaction in flight per exec thread: the commit cap is checked
@@ -196,7 +194,6 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTransactionSet) {
     oo.max_inflight = 1;
     oo.forwarding = c.forwarding;
     oo.shared_cc_table = c.shared_cc;
-    oo.vectorized_cc = c.vectorized_cc;
     oo.snapshot_reads = c.snapshot_reads;
     ORTHRUS_CHECK(!oo.elastic);     // the static-mesh digest pin
     ORTHRUS_CHECK(!oo.elastic_cc);  // the static lock-space pin
@@ -429,20 +426,6 @@ TEST(EngineEquivalence, AllEnginesCommitTheSameTpccTransactionSet) {
                                   kOrthrusCc));
   }
   {
-    // Vectorized CC stage: batch drain + prefetch sweep + per-key
-    // combining + one grant flush per batch reorders grant *timing*
-    // within a quantum, never lock-queue order — the committed TPC-C
-    // transaction set is the pin.
-    engine::OrthrusOptions oo;
-    oo.num_cc = kOrthrusCc;
-    oo.max_inflight = 1;
-    oo.vectorized_cc = true;
-    engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
-    outcomes.emplace_back(eng.name(),
-                          RunTpcc(&eng, kOrthrusCc + kExecWorkers, kOrthrusCc,
-                                  kOrthrusCc));
-  }
-  {
     // Snapshot reads over TPC-C: NewOrder needs reconnaissance and the
     // ring tables carry append regions, so the eligibility gate routes
     // every transaction through ordinary CC — but versions still install
@@ -508,20 +491,6 @@ TEST(EngineEquivalence, FullMixSeededDeliveriesMatchAcrossEngines) {
     engine::OrthrusOptions oo;
     oo.num_cc = kOrthrusCc;
     oo.max_inflight = 1;
-    engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
-    outcomes.emplace_back(eng.name(),
-                          RunTpccAt(&eng, kOrthrusCc + kExecWorkers,
-                                    kOrthrusCc, kOrthrusCc, scale));
-  }
-  {
-    // Vectorized CC stage over the full five-type mix: the hardest digest
-    // pin, since Delivery/StockLevel reads observe grant-order-sensitive
-    // state. Batch-deferred grant flushes must not change which orders
-    // get delivered.
-    engine::OrthrusOptions oo;
-    oo.num_cc = kOrthrusCc;
-    oo.max_inflight = 1;
-    oo.vectorized_cc = true;
     engine::OrthrusEngine eng(Options(kOrthrusCc + kExecWorkers), oo);
     outcomes.emplace_back(eng.name(),
                           RunTpccAt(&eng, kOrthrusCc + kExecWorkers,

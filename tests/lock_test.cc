@@ -175,81 +175,62 @@ TEST(LockTableHeadReuse, HeadWithQueuedWaiterKeepsItsKey) {
   EXPECT_EQ(table.lock_heads_in_use(), 2u);
 }
 
-TEST(LockTableHeadReuse, BatchOverRekeyedHeadsMatchesSequentialAcquire) {
-  // Two tables warmed to four drained heads on their single chain, then
-  // the same mixed stream (shared runs, X conflicts, wait-die deaths) as
-  // one AcquireBatch on one table and as sequential Acquire calls on the
-  // other.
+TEST(LockTableHeadReuse, WaitDieStreamOverRekeyedHeads) {
+  // A table warmed to four drained heads on its single chain, then a mixed
+  // stream (shared runs, X conflicts, wait-die deaths) whose four keys all
+  // land on re-keyed heads. Ages: worker 1 < 3 < 0 < 2 (oldest first); a
+  // requester waits only when it is older than every conflicting request
+  // ahead of it.
+  using R = LockTable::AcquireResult;
   struct Item {
     int worker;
     std::uint32_t table;
     std::uint64_t key;
     LockMode mode;
+    R want;
   };
   const Item stream[] = {
-      {0, 1, 7, LockMode::kShared},    {1, 1, 7, LockMode::kShared},
-      {2, 1, 7, LockMode::kExclusive}, {3, 1, 7, LockMode::kShared},
-      {0, 1, 8, LockMode::kExclusive}, {1, 1, 8, LockMode::kExclusive},
-      {3, 1, 8, LockMode::kShared},    {2, 2, 8, LockMode::kShared},
-      {3, 1, 9, LockMode::kExclusive}, {0, 1, 9, LockMode::kShared},
+      {0, 1, 7, LockMode::kShared, R::kGranted},
+      {1, 1, 7, LockMode::kShared, R::kGranted},
+      {2, 1, 7, LockMode::kExclusive, R::kDie},  // youngest vs two readers
+      {3, 1, 7, LockMode::kShared, R::kGranted},
+      {0, 1, 8, LockMode::kExclusive, R::kGranted},
+      {1, 1, 8, LockMode::kExclusive, R::kWaiting},  // older than holder 0
+      {3, 1, 8, LockMode::kShared, R::kDie},         // younger than waiter 1
+      {2, 2, 8, LockMode::kShared, R::kGranted},     // other table, same key
+      {3, 1, 9, LockMode::kExclusive, R::kGranted},
+      {0, 1, 9, LockMode::kShared, R::kDie},  // younger than holder 3
   };
-  constexpr std::size_t kN = sizeof(stream) / sizeof(stream[0]);
   constexpr std::uint64_t kAge[4] = {102, 100, 103, 101};
   WaitDiePolicy policy;
 
-  LockTable batched(OneBucketConfig());
-  LockTable sequential(OneBucketConfig());
-  WorkerStats bstats[4];
-  WorkerStats sstats[4];
-  WorkerLockCtx* bctx[4];
-  WorkerLockCtx* sctx[4];
-  for (int i = 0; i < 4; ++i) {
-    bctx[i] = batched.RegisterWorker(i, &bstats[i]);
-    sctx[i] = sequential.RegisterWorker(i, &sstats[i]);
+  LockTable table(OneBucketConfig());
+  WorkerStats stats[4];
+  WorkerLockCtx* ctx[4];
+  for (int i = 0; i < 4; ++i) ctx[i] = table.RegisterWorker(i, &stats[i]);
+  for (std::uint64_t key = 1000; key < 1004; ++key) {
+    ASSERT_EQ(table.Acquire(ctx[0], 1, key, LockMode::kExclusive, nullptr),
+              R::kGranted);
   }
-  for (LockTable* t : {&batched, &sequential}) {
-    WorkerLockCtx* c = t == &batched ? bctx[0] : sctx[0];
-    for (std::uint64_t key = 1000; key < 1004; ++key) {
-      ASSERT_EQ(t->Acquire(c, 1, key, LockMode::kExclusive, nullptr),
-                LockTable::AcquireResult::kGranted);
-    }
-    t->ReleaseAll(c);
-    ASSERT_EQ(t->lock_heads_in_use(), 4u);
-  }
-  for (int i = 0; i < 4; ++i) {
-    bctx[i]->txn_timestamp = kAge[i];
-    sctx[i]->txn_timestamp = kAge[i];
-  }
+  table.ReleaseAll(ctx[0]);
+  ASSERT_EQ(table.lock_heads_in_use(), 4u);
+  for (int i = 0; i < 4; ++i) ctx[i]->txn_timestamp = kAge[i];
 
-  LockTable::BatchRequest reqs[kN];
-  LockTable::AcquireResult seq[kN];
-  for (std::size_t i = 0; i < kN; ++i) {
+  for (std::size_t i = 0; i < sizeof(stream) / sizeof(stream[0]); ++i) {
     const Item& it = stream[i];
-    reqs[i].ctx = bctx[it.worker];
-    reqs[i].table = it.table;
-    reqs[i].key = it.key;
-    reqs[i].mode = it.mode;
-    seq[i] = sequential.Acquire(sctx[it.worker], it.table, it.key, it.mode,
-                                &policy);
+    EXPECT_EQ(table.Acquire(ctx[it.worker], it.table, it.key, it.mode,
+                            &policy),
+              it.want)
+        << "request " << i;
   }
-  batched.AcquireBatch(reqs, kN, &policy);
-  int waits = 0;
-  int deaths = 0;
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(reqs[i].result, seq[i]) << "request " << i;
-    waits += seq[i] == LockTable::AcquireResult::kWaiting;
-    deaths += seq[i] == LockTable::AcquireResult::kDie;
-  }
-  EXPECT_GT(waits, 0);
-  EXPECT_GT(deaths, 0);
-  // The stream's four keys all landed on re-keyed heads.
-  EXPECT_EQ(batched.lock_heads_in_use(), 4u);
-  EXPECT_EQ(sequential.lock_heads_in_use(), 4u);
+  EXPECT_EQ(table.lock_heads_in_use(), 4u);
+  // Granted and queued requests are held; dead ones left no trace.
+  const std::size_t want_held[4] = {2, 2, 1, 2};
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(batched.HeldCount(bctx[i]), sequential.HeldCount(sctx[i]));
-    batched.ReleaseAll(bctx[i]);
-    sequential.ReleaseAll(sctx[i]);
+    EXPECT_EQ(table.HeldCount(ctx[i]), want_held[i]) << "worker " << i;
   }
+  for (int i = 0; i < 4; ++i) table.ReleaseAll(ctx[i]);
+  EXPECT_EQ(table.lock_heads_in_use(), 4u);
 }
 
 // --- wait-die decision rules (single-threaded: we inspect the immediate

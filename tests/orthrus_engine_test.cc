@@ -135,6 +135,30 @@ TEST(OrthrusSharedCc, WorksOnNativeThreads) {
   EXPECT_EQ(wl->SumCounters(db), r.total.committed * 10);
 }
 
+TEST(OrthrusSharedCc, ReusesLockHeadsOnNativeThreadsPastShardSize) {
+  // One CC thread over 2^19 uniformly drawn keys: a run that commits its
+  // full budget touches about 350k distinct keys, past the 2^18 lock heads
+  // the shared table carves per CC thread, so it survives only if drained
+  // heads are re-keyed.
+  OrthrusOptions oo;
+  oo.num_cc = 1;
+  oo.shared_cc_table = true;
+  KvConfig kv;
+  kv.num_records = 1 << 19;
+  kv.num_partitions = 1;
+  KvWorkload wl(kv);
+  storage::Database db;
+  wl.Load(&db, 1);
+  EngineOptions o = SmallRun(3);
+  o.duration_seconds = 60;  // wall-clock cap; the commit budget ends the run
+  o.max_txns_per_worker = 30000;
+  OrthrusEngine eng(o, oo);
+  hal::NativePlatform p(3);
+  RunResult r = eng.Run(&p, &db, wl);
+  EXPECT_GE(r.total.committed, 2u * 30000u);  // both exec threads' budgets
+  EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
+}
+
 TEST(OrthrusStatic, WorksOnNativeThreads) {
   // The default path — static per-pair meshes, burst-sized send flushing
   // — under true concurrency: grants, forwards and acks must neither be
@@ -695,18 +719,16 @@ TEST(OrthrusElasticCc, ExplicitPartitionCountAndContention) {
   EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
 }
 
-TEST(OrthrusElasticCc, ComposesWithCombinedGrantsAndNoForwarding) {
-  // The two message-protocol variants that interact with stage routing:
-  // packed CC->exec grant words (vectorized_cc's batch grant flush), and
-  // exec-mediated (non-forwarded) acquisition hops. Both must conserve
-  // effects across CC handoffs.
+TEST(OrthrusElasticCc, ConservesWithAndWithoutForwarding) {
+  // Stage routing under CC handoffs, with CC->CC forwarded acquisition
+  // hops and with exec-mediated (non-forwarded) ones: both must conserve
+  // effects.
   for (const bool forwarding : {true, false}) {
     OrthrusOptions oo;
     oo.num_cc = 2;
     oo.elastic = true;
     oo.elastic_cc = true;
     oo.elastic_epoch_seconds = 0.0002;
-    oo.vectorized_cc = true;
     oo.forwarding = forwarding;
     KvWorkload wl(ElasticCcKv(2));
     storage::Database db;
@@ -789,124 +811,6 @@ TEST(OrthrusElastic, SharedCcTableComposes) {
   RunResult r = eng.Run(&sim, &db, wl);
   ASSERT_GT(r.total.committed, 0u);
   EXPECT_EQ(wl.SumCounters(db), r.total.committed * 10);
-}
-
-TEST(OrthrusVectorizedCc, ConservesAndCountsBatches) {
-  // The vectorized CC stage drains a flat batch, prefetch-sweeps it, and
-  // processes requests in arrival order with per-key combining. Grant
-  // timing moves (single flush per batch), message content does not:
-  // commits and effects are conserved, and the batch counters prove the
-  // vector path actually ran.
-  OrthrusOptions oo;
-  oo.num_cc = 1;  // fan-in: every partition's requests share one CC batch
-  oo.vectorized_cc = true;
-  KvConfig kv;
-  kv.num_records = 4000;
-  // Single-op transactions on one hot key: every staged acquire and
-  // release the CC thread drains names the same key, so a batch with two
-  // or more messages is a combinable run by construction.
-  kv.hot_records = 1;
-  kv.hot_ops = 1;
-  kv.ops_per_txn = 1;
-  kv.num_partitions = 1;
-  KvWorkload* wl = nullptr;
-  storage::Database db;
-  RunResult r = RunOrthrus(kv, oo, 6, &wl, &db);
-  ASSERT_GT(r.total.committed, 0u);
-  EXPECT_EQ(wl->SumCounters(db), r.total.committed * 1);
-  ASSERT_GT(r.total.cc_batches, 0u);
-  EXPECT_GE(r.total.cc_batch_msgs, r.total.cc_batches);
-  EXPECT_GT(r.total.cc_key_runs_combined, 0u);
-}
-
-TEST(OrthrusVectorizedCc, ScalarRunLeavesBatchCountersZero) {
-  // With the knob off the batch path must be unreachable: the counters it
-  // alone increments stay zero.
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  KvWorkload* wl = nullptr;
-  storage::Database db;
-  RunResult r = RunOrthrus(MultiPartKv(2, 2), oo, 6, &wl, &db);
-  ASSERT_GT(r.total.committed, 0u);
-  EXPECT_EQ(r.total.cc_batches, 0u);
-  EXPECT_EQ(r.total.cc_batch_msgs, 0u);
-  EXPECT_EQ(r.total.cc_key_runs_combined, 0u);
-}
-
-TEST(OrthrusVectorizedCc, KnobOffIsByteIdentical) {
-  // The sim-clock probe: a run with the vectorization knobs spelled out
-  // as off must be bit-identical — committed count and global sim clock —
-  // to a run constructed with defaults. The scalar drain loop must cost
-  // the refactor nothing.
-  const auto run = [](bool spell_out) {
-    OrthrusOptions oo;
-    oo.num_cc = 2;
-    oo.max_inflight = 4;
-    if (spell_out) {
-      oo.vectorized_cc = false;
-      oo.cc_batch = 256;
-      oo.cc_prefetch = true;
-      oo.cc_combine = true;
-    }
-    KvConfig kv;
-    kv.num_records = 4000;
-    kv.hot_records = 16;
-    kv.num_partitions = 2;
-    KvWorkload wl(kv);
-    storage::Database db;
-    wl.Load(&db, 1);
-    OrthrusEngine eng(SmallRun(6), oo);
-    hal::SimPlatform sim(6);
-    RunResult r = eng.Run(&sim, &db, wl);
-    return std::make_pair(r.total.committed, sim.GlobalClock());
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
-TEST(OrthrusVectorizedCc, DeterministicAndComposesWithElasticCc) {
-  // Vectorized drain over the elastic-CC multi-mesh: shard handoff epochs
-  // change which CC thread drains a partition, never what the batch does.
-  const auto run = [] {
-    OrthrusOptions oo;
-    oo.num_cc = 2;
-    oo.vectorized_cc = true;
-    oo.elastic = true;
-    oo.elastic_cc = true;
-    oo.elastic_epoch_seconds = 0.0002;
-    KvWorkload wl(ElasticCcKv(2));
-    storage::Database db;
-    wl.Load(&db, 1);
-    OrthrusEngine eng(ElasticRun(8), oo);
-    hal::SimPlatform sim(8);
-    RunResult r = eng.Run(&sim, &db, wl);
-    return std::make_tuple(r.total.committed, wl.SumCounters(db),
-                           sim.GlobalClock());
-  };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_GT(std::get<0>(a), 0u);
-  EXPECT_EQ(std::get<1>(a), std::get<0>(a) * 10);
-  EXPECT_EQ(a, b);
-}
-
-TEST(OrthrusVectorizedCc, RejectsOversizedInflightWindow) {
-  // The batch grant flush packs in-flight window slot ids into grant
-  // words, one byte each.
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  oo.vectorized_cc = true;
-  oo.max_inflight = 257;
-  EXPECT_DEATH(OrthrusEngine(SmallRun(6), oo), "CHECK");
-}
-
-TEST(OrthrusVectorizedCc, RejectsSharedCcTable) {
-  // The shared CC table's loop is not message-shaped; there is no drained
-  // batch to vectorize.
-  OrthrusOptions oo;
-  oo.num_cc = 2;
-  oo.vectorized_cc = true;
-  oo.shared_cc_table = true;
-  EXPECT_DEATH(OrthrusEngine(SmallRun(6), oo), "CHECK");
 }
 
 TEST(OrthrusSnapshotReads, OffIsByteIdentical) {
